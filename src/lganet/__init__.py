@@ -24,7 +24,6 @@ from .attention import (  # noqa: E402
     LgaWeights,
     attention_variant,
     global_kv,
-    lg_attention,
     local_queries,
     window_count,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "ResBlockSpec", "ScheduleSpec", "ShapeError", "SplitSpec", "Tensor",
     "TrainSpec", "VARIANTS", "adamw_step", "attention_variant", "batches",
     "bce_loss", "cosine_lr", "count_parameters", "evaluate", "global_kv",
-    "lg_attention", "local_queries", "no_grad", "read_dataset", "read_weights",
+    "local_queries", "no_grad", "read_dataset", "read_weights",
     "split_by_patient", "synth_dataset", "train", "window_count",
     "write_dataset", "write_weights",
 ]

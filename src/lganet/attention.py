@@ -55,18 +55,11 @@ class LgaConfig:
     window_len: int
     stride: int = 2
     query_kernel: int = 3
-    query_padding: int | None = None  # None -> (query_kernel - 1) // 2
     kv_kernel: int = 3
     variant: str = VARIANT_LGA
     pos_encoding: str = PE_NONE
     halving: bool = True
     max_len: int | None = None  # positional table capacity
-
-    @property
-    def query_pad(self) -> int:
-        if self.query_padding is None:
-            return (self.query_kernel - 1) // 2
-        return self.query_padding
 
     @property
     def head_dim(self) -> int:
@@ -86,10 +79,8 @@ class LgaConfig:
             raise ConfigError(f"embed_dim {self.embed_dim} must be a positive multiple of heads {self.heads}")
         if not self.window_len >= self.stride >= 1:
             raise ConfigError(f"need window_len >= stride >= 1, got {self.window_len}, {self.stride}")
-        if 2 * self.query_pad != self.query_kernel - 1:
-            raise ConfigError(
-                f"query conv must preserve length: 2*padding == kernel-1, got k={self.query_kernel} p={self.query_pad}"
-            )
+        if self.query_kernel % 2 == 0:
+            raise ConfigError(f"query_kernel must be odd to preserve length, got {self.query_kernel}")
         if self.kv_kernel % 2 == 0:
             raise ConfigError(f"kv_kernel must be odd to preserve length, got {self.kv_kernel}")
         if self.halving and (self.window_len - self.stride) % 2:
@@ -129,8 +120,8 @@ class LgaWeights:
         norm = LayerNormParams.create(d, dtype)
         conv_q = conv_k = conv_v = None
         if cfg.variant in (VARIANT_LGA, VARIANT_GLOBAL_QKV):
-            kv_pad = (cfg.kv_kernel - 1) // 2
-            conv_q = Conv1dParams.create(d, d, cfg.query_kernel, 1, cfg.query_pad, rng, dtype)
+            q_pad, kv_pad = (cfg.query_kernel - 1) // 2, (cfg.kv_kernel - 1) // 2
+            conv_q = Conv1dParams.create(d, d, cfg.query_kernel, 1, q_pad, rng, dtype)
             conv_k = Conv1dParams.create(d, d, cfg.kv_kernel, 1, kv_pad, rng, dtype)
             conv_v = Conv1dParams.create(d, d, cfg.kv_kernel, 1, kv_pad, rng, dtype)
         elif cfg.variant in (VARIANT_VIT, VARIANT_SWIN):
@@ -384,11 +375,6 @@ def attention_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights,
     except KeyError:
         raise ConfigError(f"unknown attention variant {cfg.variant!r}") from None
     return core(x_norm, cfg, w, capture)
-
-
-def lg_attention(x: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None = None) -> Tensor:
-    """The main layer: layer norm, windowed queries, global K/V, residual add."""
-    return _lga_core(layer_norm(x, w.norm), cfg, w, capture)
 
 
 def attention_variant(x: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None = None) -> Tensor:

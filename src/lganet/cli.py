@@ -12,15 +12,18 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
 
 from . import __version__
 from .attention import POS_ENCODINGS, VARIANTS
 from .data import (
-    DEFAULT_CLASS_NAMES,
     DEFAULT_SAMPLE_RATE,
     SplitSpec,
+    class_names,
     read_dataset,
     split_by_patient,
     synth_dataset,
@@ -40,35 +43,55 @@ DEFAULT_WINDOW_SWEEP = (16, 32, 64, 128)
 
 @dataclass
 class RunConfig:
-    """Everything one training/ablation run needs, parsed from JSON."""
+    """Everything one training/ablation run needs, parsed from JSON.
 
-    seed: int = 42
-    precision: str = "f32"
-    model: ModelConfig = field(default_factory=lambda: ModelConfig.create())
+    Defaults are those of the component dataclasses. The JSON form is
+    derived from their fields by `_FIELDS`: the top-level `seed` and
+    `precision` keys are `train.seed` and `model.precision`.
+    """
+
+    model: ModelConfig = field(default_factory=ModelConfig.create)
     train: TrainSpec = field(default_factory=TrainSpec)
     split: SplitSpec = field(default_factory=SplitSpec)
     dataset: str | None = None
 
     def to_dict(self) -> dict:
-        model = self.model.to_dict()
-        del model["precision"]  # carried at the top level
-        return {
-            "seed": self.seed,
-            "precision": self.precision,
-            "model": model,
-            "train": {
-                "lr_start": self.train.schedule.lr_start,
-                "lr_end": self.train.schedule.lr_end,
-                "epochs": self.train.schedule.total_epochs,
-                "batch_size": self.train.batch_size,
-                "patience": self.train.patience,
-                "weight_decay": self.train.weight_decay,
-                "threshold": self.train.threshold,
-            },
-            "split": {"train": self.split.train, "val": self.split.val,
-                      "dev": self.split.dev, "seed": self.split.seed},
-            "data": {"dataset": self.dataset},
-        }
+        out: dict = {section: {} for section in SECTIONS}
+        for f in _FIELDS:
+            target = out[f.section] if f.section else out
+            target[f.key] = getattr(reduce(getattr, f.owner, self), f.attr)
+        return out
+
+
+@dataclass(frozen=True)
+class _Field:
+    section: str      # JSON section, "" for the top level
+    key: str          # JSON key within the section
+    owner: tuple      # attribute path from RunConfig to the owning dataclass
+    attr: str         # field name on the owning dataclass
+    types: tuple      # accepted JSON value types
+
+
+SECTIONS = ("model", "train", "split", "data")
+_JSON_KEY = {"total_epochs": "epochs"}
+
+
+def _fields_of(cls, section: str, owner: tuple, names=None, skip=()) -> list[_Field]:
+    hints = typing.get_type_hints(cls)
+    names = names or [f.name for f in fields(cls) if f.name not in skip]
+    return [_Field(section, _JSON_KEY.get(n, n), owner, n, typing.get_args(hints[n]) or (hints[n],))
+            for n in names]
+
+
+_FIELDS = (
+    _fields_of(TrainSpec, "", ("train",), ["seed"])
+    + _fields_of(ModelConfig, "", ("model",), ["precision"])
+    + _fields_of(ModelConfig, "model", ("model",), [k for k in ModelConfig.KNOBS if k != "precision"])
+    + _fields_of(ScheduleSpec, "train", ("train", "schedule"))
+    + _fields_of(TrainSpec, "train", ("train",), skip=("schedule", "seed", "stop_macro_f1"))
+    + _fields_of(SplitSpec, "split", ("split",))
+    + _fields_of(RunConfig, "data", (), ["dataset"])
+)
 
 
 def _expect(obj, path: str, kind) -> None:
@@ -76,80 +99,37 @@ def _expect(obj, path: str, kind) -> None:
         raise ConfigError(f"{path}: expected {kind.__name__}, got {type(obj).__name__}")
 
 
-def _section(raw: dict, path: str, fields: dict) -> dict:
-    """Strictly read one JSON object: known keys only, typed, with defaults."""
-    _expect(raw, path, dict)
-    unknown = set(raw) - set(fields)
+def _read_section(raw: dict, path: str, section: str, into: dict, extra=()) -> None:
+    """Strictly read one JSON object into keyword arguments per owning dataclass."""
+    unknown = set(raw) - {f.key for f in _FIELDS if f.section == section} - set(extra)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    out = {}
-    for name, (types, default) in fields.items():
-        if name in raw:
-            value = raw[name]
-            if types is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-                want = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-                raise ConfigError(f"{path}.{name}: expected {want}, got {type(value).__name__}")
-            out[name] = value
-        elif default is ...:
-            raise ConfigError(f"{path}.{name}: required field is missing")
-        else:
-            out[name] = default
-    return out
+    for f in _FIELDS:
+        if f.section != section or f.key not in raw:
+            continue
+        value = raw[f.key]
+        if f.types == (float,) and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if not isinstance(value, f.types) or isinstance(value, bool) and bool not in f.types:
+            want = "/".join(t.__name__ for t in f.types)
+            raise ConfigError(f"{path}.{f.key}: expected {want}, got {type(value).__name__}")
+        into[f.owner][f.attr] = value
 
 
 def parse_run_config(raw: dict) -> RunConfig:
-    top = _section(raw, "config", {
-        "seed": (int, 42),
-        "precision": (str, "f32"),
-        "model": (dict, {}),
-        "train": (dict, {}),
-        "split": (dict, {}),
-        "data": (dict, {}),
-    })
-    defaults = ModelConfig()
-    m = _section(top["model"], "model", {
-        "leads": (int, defaults.leads),
-        "input_len": (int, defaults.input_len),
-        "embed_dim": (int, defaults.embed_dim),
-        "heads": (int, defaults.heads),
-        "num_stages": (int, defaults.num_stages),
-        "num_classes": (int, defaults.num_classes),
-        "window_len": (int, defaults.window_len),
-        "stride": (int, defaults.stride),
-        "query_kernel": (int, defaults.query_kernel),
-        "kv_kernel": (int, defaults.kv_kernel),
-        "variant": (str, defaults.variant),
-        "pos_encoding": (str, defaults.pos_encoding),
-    })
-    t = _section(top["train"], "train", {
-        "lr_start": (float, 1e-4),
-        "lr_end": (float, 1e-5),
-        "epochs": (int, 50),
-        "batch_size": (int, 32),
-        "patience": (int, 7),
-        "weight_decay": (float, 0.01),
-        "threshold": (float, 0.5),
-    })
-    s = _section(top["split"], "split", {
-        "train": (float, 0.90),
-        "val": (float, 0.05),
-        "dev": (float, 0.05),
-        "seed": (int, 0),
-    })
-    d = _section(top["data"], "data", {"dataset": ((str, type(None)), None)})
-    model = ModelConfig.create(precision=top["precision"], **m)
-    spec = TrainSpec(
-        schedule=ScheduleSpec(t["lr_start"], t["lr_end"], t["epochs"]),
-        batch_size=t["batch_size"], patience=t["patience"],
-        weight_decay=t["weight_decay"], threshold=t["threshold"],
-        seed=top["seed"],
-    )
+    _expect(raw, "config", dict)
+    kw: dict[tuple, dict] = defaultdict(dict)
+    _read_section(raw, "config", "", kw, extra=SECTIONS)
+    for section in SECTIONS:
+        _expect(raw.get(section, {}), f"config.{section}", dict)
+    for section in SECTIONS:
+        _read_section(raw.get(section, {}), section, section, kw)
+    model = ModelConfig.create(**kw[("model",)])
+    spec = TrainSpec(schedule=ScheduleSpec(**kw[("train", "schedule")]), **kw[("train",)])
     spec.validate()
-    split = SplitSpec(s["train"], s["val"], s["dev"], s["seed"])
+    split = SplitSpec(**kw[("split",)])
     split.validate()
-    return RunConfig(top["seed"], top["precision"], model, spec, split, d["dataset"])
+    return RunConfig(model, spec, split, **kw[()])
 
 
 def load_run_config(path) -> RunConfig:
@@ -164,13 +144,11 @@ def load_run_config(path) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.train.seed = args.seed
-    if getattr(args, "precision", None) is not None:
-        cfg.precision = args.precision
+    if args.seed is not None:
+        cfg.train = replace(cfg.train, seed=args.seed)
+    if args.precision is not None:
         cfg.model = ModelConfig.from_dict({**cfg.model.to_dict(), "precision": args.precision})
-    if getattr(args, "data", None) is not None:
+    if args.data is not None:
         cfg.dataset = args.data
     return cfg
 
@@ -181,12 +159,6 @@ def _load_records(path):
     if not os.path.exists(path):
         raise ConfigError(f"dataset file not found: {path}")
     return read_dataset(path)
-
-
-def _class_names(k: int) -> tuple[str, ...]:
-    if k == len(DEFAULT_CLASS_NAMES):
-        return DEFAULT_CLASS_NAMES
-    return tuple(f"class_{i}" for i in range(k))
 
 
 # -- commands -------------------------------------------------------------
@@ -204,7 +176,7 @@ def cmd_synth(args) -> int:
 
 def _train_once(cfg: RunConfig, records, out_dir: Path, verbose: bool):
     tr, val, dev = split_by_patient(records, cfg.split, require_nonempty=True)
-    model = Model(cfg.model, seed=cfg.seed)
+    model = Model(cfg.model, seed=cfg.train.seed)
     log = train(model, tr, val, cfg.train, verbose=verbose)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save(out_dir / "weights.lgaw")
@@ -241,35 +213,37 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _ablation_values(cfg: RunConfig, axis: str, values: str | None):
+def _ablation_values(axis: str, values: str | None):
+    if values is not None and axis != "window":
+        raise ConfigError(f"--values applies to --axis window only, not {axis!r}")
     if axis == "attention":
         return [("variant", v) for v in VARIANTS]
     if axis == "pe":
         return [("pos_encoding", p) for p in POS_ENCODINGS]
     if axis == "window":
-        sweep = DEFAULT_WINDOW_SWEEP if values is None else tuple(
-            int(v) for v in values.split(","))
-        return [("window_len", w) for w in sweep]
+        if values is None:
+            return [("window_len", w) for w in DEFAULT_WINDOW_SWEEP]
+        try:
+            return [("window_len", int(v)) for v in values.split(",")]
+        except ValueError:
+            raise ConfigError(f"--values must be comma-separated integers, got {values!r}") from None
     raise ConfigError(f"unknown ablation axis {axis!r}, expected attention | pe | window")
 
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
+    settings = _ablation_values(args.axis, args.values)
     records = _load_records(cfg.dataset)
-    settings = _ablation_values(cfg, args.axis, args.values)
-    names = _class_names(cfg.model.num_classes)
+    tr, val, dev = split_by_patient(records, cfg.split, require_nonempty=True)
     rows = []
     for knob, value in settings:
-        model_cfg = ModelConfig.from_dict({**cfg.model.to_dict(), knob: value})
-        run = RunConfig(cfg.seed, cfg.precision, model_cfg, cfg.train, cfg.split, cfg.dataset)
-        tr, val, dev = split_by_patient(records, run.split, require_nonempty=True)
-        model = Model(run.model, seed=run.seed)
-        train(model, tr, val, run.train, verbose=args.verbose)
-        report = evaluate(model, dev, run.train.threshold, run.train.batch_size)
+        model = Model(ModelConfig.from_dict({**cfg.model.to_dict(), knob: value}), seed=cfg.train.seed)
+        train(model, tr, val, cfg.train, verbose=args.verbose)
+        report = evaluate(model, dev, cfg.train.threshold, cfg.train.batch_size)
         rows.append([str(value)] + [f"{c.f1:.4f}" for c in report.classes]
                     + [f"{report.macro_f1:.4f}"])
         print(f"[{args.axis}={value}] dev macro-F1 {report.macro_f1:.4f}", flush=True)
-    header = [args.axis] + [f"f1_{n}" for n in names] + ["macro_f1"]
+    header = [args.axis] + [f"f1_{n}" for n in class_names(cfg.model.num_classes)] + ["macro_f1"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"ablation_{args.axis}.csv", "w", newline="", encoding="utf-8") as fh:
@@ -327,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate saved weights on a dataset")
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=TrainSpec.threshold)
     p.add_argument("--precision", choices=("f32", "f64"))
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_eval)

@@ -11,7 +11,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .tensor import Tensor
+from .tensor import Tensor, _read_exact
 
 DATASET_MAGIC = b"LGAE"
 DATASET_VERSION = 1
@@ -74,13 +74,6 @@ def write_dataset(records: Sequence[EcgRecord], path, sample_rate: int = DEFAULT
             fh.write(np.ascontiguousarray(rec.signal, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, nbytes: int, offset: int, what: str) -> bytes:
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
-        raise FormatError(f"truncated dataset: expected {nbytes} bytes for {what} at byte {offset}")
-    return buf
-
-
 def read_dataset(path) -> list[EcgRecord]:
     """Read an LGAE file back; raises FormatError with a byte offset on corruption."""
     records: list[EcgRecord] = []
@@ -107,6 +100,8 @@ def read_dataset(path) -> list[EcgRecord]:
             offset += sig_bytes
             signal = np.frombuffer(raw, dtype="<f4").reshape(c, n).astype(np.float32)
             records.append(EcgRecord(signal, labels.copy(), int(patient)))
+        if fh.read(1):
+            raise FormatError(f"trailing bytes at byte {offset} after {count} records")
     return records
 
 
@@ -232,12 +227,18 @@ def batches(records: Sequence[EcgRecord], batch_size: int, shuffle_seed: int | N
         yield Batch(Tensor(sig, dtype=dtype), lab, idx)
 
 
+def class_names(k: int) -> tuple[str, ...]:
+    """The default six class names for K=6, otherwise class_0 .. class_{K-1}."""
+    if k == len(DEFAULT_CLASS_NAMES):
+        return DEFAULT_CLASS_NAMES
+    return tuple(f"class_{i}" for i in range(k))
+
+
 def export_labels_csv(records: Sequence[EcgRecord], path) -> None:
     """record_index, patient_id, one column per class label."""
     k = records[0].labels.shape[0] if records else 0
-    names = DEFAULT_CLASS_NAMES if k == len(DEFAULT_CLASS_NAMES) else tuple(f"class_{i}" for i in range(k))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("record_index", "patient_id") + names)
+        writer.writerow(("record_index", "patient_id") + class_names(k))
         for i, rec in enumerate(records):
             writer.writerow([i, rec.patient_id] + [int(x) for x in rec.labels])

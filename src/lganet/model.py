@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .attention import VARIANT_LGA, VARIANT_VIT, LgaConfig, LgaWeights, attention_core
+from .attention import VARIANT_VIT, LgaConfig, LgaWeights, attention_core
 from .errors import ConfigError, FormatError
 from .ops import (
     Conv1dParams,
@@ -69,11 +69,11 @@ class ModelConfig:
     num_stages: int = 4
     num_classes: int = 6
     window_len: int = 64
-    stride: int = 2
-    query_kernel: int = 3
-    kv_kernel: int = 3
-    variant: str = VARIANT_LGA
-    pos_encoding: str = "NONE"
+    stride: int = LgaConfig.stride
+    query_kernel: int = LgaConfig.query_kernel
+    kv_kernel: int = LgaConfig.kv_kernel
+    variant: str = LgaConfig.variant
+    pos_encoding: str = LgaConfig.pos_encoding
     precision: str = "f32"
     front_end: tuple[ResBlockSpec, ...] = field(default_factory=tuple)
     blocks: tuple[BlockSpec, ...] = field(default_factory=tuple)

@@ -538,4 +538,6 @@ def read_weights(path) -> dict[str, np.ndarray]:
             raw = _read_exact(fh, nbytes, offset, f"data of {name!r}")
             offset += nbytes
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        if fh.read(1):
+            raise FormatError(f"trailing bytes at byte {offset} after {count} tensors")
     return out

@@ -34,6 +34,39 @@ def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 @dataclass
+class ScheduleSpec:
+    lr_start: float = 1e-4
+    lr_end: float = 1e-5
+    total_epochs: int = 50
+
+    def validate(self) -> None:
+        if not self.lr_start >= self.lr_end > 0:
+            raise ConfigError(f"need lr_start >= lr_end > 0, got {self.lr_start}, {self.lr_end}")
+        if self.total_epochs < 1:
+            raise ConfigError(f"total_epochs must be >= 1, got {self.total_epochs}")
+
+
+@dataclass
+class TrainSpec:
+    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
+    batch_size: int = 32
+    patience: int = 7
+    weight_decay: float = 0.01
+    seed: int = 42
+    threshold: float = 0.5
+    stop_macro_f1: float | None = None  # optional target-reached early exit
+
+    def validate(self) -> None:
+        self.schedule.validate()
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
+
+
+@dataclass
 class OptimState:
     """First/second moments per parameter plus the shared step counter."""
 
@@ -43,10 +76,11 @@ class OptimState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.01
+    weight_decay: float = TrainSpec.weight_decay
 
     @classmethod
-    def create(cls, params: dict[str, Tensor], weight_decay: float = 0.01) -> "OptimState":
+    def create(cls, params: dict[str, Tensor],
+               weight_decay: float = TrainSpec.weight_decay) -> "OptimState":
         return cls(
             m={k: np.zeros_like(p.data) for k, p in params.items()},
             v={k: np.zeros_like(p.data) for k, p in params.items()},
@@ -77,19 +111,6 @@ def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
         p.grad = None
 
 
-@dataclass
-class ScheduleSpec:
-    lr_start: float = 1e-4
-    lr_end: float = 1e-5
-    total_epochs: int = 50
-
-    def validate(self) -> None:
-        if not self.lr_start >= self.lr_end > 0:
-            raise ConfigError(f"need lr_start >= lr_end > 0, got {self.lr_start}, {self.lr_end}")
-        if self.total_epochs < 1:
-            raise ConfigError(f"total_epochs must be >= 1, got {self.total_epochs}")
-
-
 def cosine_lr(epoch: int, spec: ScheduleSpec) -> float:
     """Cosine anneal from lr_start (epoch 0) to lr_end (epoch total_epochs-1)."""
     last = spec.total_epochs - 1
@@ -103,7 +124,7 @@ def cosine_lr(epoch: int, spec: ScheduleSpec) -> float:
 class EarlyStopping:
     """Stop once `patience` consecutive epochs fail to improve the best loss."""
 
-    def __init__(self, patience: int = 7):
+    def __init__(self, patience: int = TrainSpec.patience):
         if patience < 1:
             raise ConfigError(f"patience must be >= 1, got {patience}")
         self.patience = patience
@@ -126,7 +147,7 @@ class EarlyStopping:
         return self.stale >= self.patience
 
 
-def should_stop(val_history: Sequence[float], patience: int = 7) -> bool:
+def should_stop(val_history: Sequence[float], patience: int = TrainSpec.patience) -> bool:
     """Pure check over a loss history: did the last run of non-improvements reach patience?"""
     stopper = EarlyStopping(patience)
     for epoch, loss in enumerate(val_history):
@@ -167,7 +188,8 @@ class ClassMetrics:
 @dataclass
 class MetricsReport:
     classes: list[ClassMetrics]
-    threshold: float = 0.5
+    threshold: float = TrainSpec.threshold
+    loss: float | None = None  # mean BCE when built by `evaluate`; not in to_dict
 
     def _macro(self, attr: str) -> float:
         return float(np.mean([getattr(c, attr) for c in self.classes])) if self.classes else 0.0
@@ -202,7 +224,8 @@ class MetricsReport:
         }
 
 
-def compute_metrics(predictions: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> MetricsReport:
+def compute_metrics(predictions: np.ndarray, labels: np.ndarray,
+                    threshold: float = TrainSpec.threshold) -> MetricsReport:
     """Confusion counts per class from [n, K] prediction/label matrices."""
     pred = np.asarray(predictions)
     lab = np.asarray(labels).astype(bool)
@@ -218,56 +241,27 @@ def compute_metrics(predictions: np.ndarray, labels: np.ndarray, threshold: floa
     return MetricsReport(out, threshold)
 
 
-def predict_probs(model: Model, records: Sequence[EcgRecord], batch_size: int = 64) -> np.ndarray:
-    """Sigmoid class probabilities for every record, in dataset order."""
+def evaluate(model: Model, records: Sequence[EcgRecord], threshold: float = TrainSpec.threshold,
+             batch_size: int = 64) -> MetricsReport:
+    """Metrics and mean binary cross-entropy from one no-grad pass over a dataset."""
     if not records:
         raise ConfigError("cannot evaluate an empty dataset")
+    total = 0.0
     chunks = []
     with no_grad():
         for batch in batches(records, batch_size, shuffle_seed=None, dtype=model.dtype):
             logits = model.forward(batch.signal)
+            total += bce_loss(logits, batch.labels).item() * batch.labels.size
             chunks.append(_sigmoid_np(logits.data))
-    return np.concatenate(chunks, axis=0)
-
-
-def evaluate(model: Model, records: Sequence[EcgRecord], threshold: float = 0.5,
-             batch_size: int = 64) -> MetricsReport:
-    probs = predict_probs(model, records, batch_size)
     labels = np.stack([r.labels for r in records])
-    return compute_metrics(probs, labels, threshold)
+    report = compute_metrics(np.concatenate(chunks, axis=0), labels, threshold)
+    report.loss = total / labels.size
+    return report
 
 
 def validation_loss(model: Model, records: Sequence[EcgRecord], batch_size: int = 64) -> float:
     """Mean binary cross-entropy over a dataset, without recording gradients."""
-    if not records:
-        raise ConfigError("cannot evaluate an empty dataset")
-    total = 0.0
-    with no_grad():
-        for batch in batches(records, batch_size, shuffle_seed=None, dtype=model.dtype):
-            loss = bce_loss(model.forward(batch.signal), batch.labels)
-            total += loss.item() * batch.labels.size
-    count = sum(r.labels.size for r in records)
-    return total / count
-
-
-@dataclass
-class TrainSpec:
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
-    batch_size: int = 32
-    patience: int = 7
-    weight_decay: float = 0.01
-    seed: int = 0
-    threshold: float = 0.5
-    stop_macro_f1: float | None = None  # optional target-reached early exit
-
-    def validate(self) -> None:
-        self.schedule.validate()
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
+    return evaluate(model, records, batch_size=batch_size).loss
 
 
 @dataclass
@@ -302,8 +296,8 @@ def train(model: Model, train_records: Sequence[EcgRecord], val_records: Sequenc
             adamw_step(params, state, lr)
             running += loss.item() * batch.labels.size
             seen += batch.labels.size
-        val = validation_loss(model, val_records, spec.batch_size)
         report = evaluate(model, val_records, spec.threshold, spec.batch_size)
+        val = report.loss
         log.append(EpochLog(epoch, lr, running / seen, val, report.macro_f1))
         if verbose:
             print(f"epoch {epoch:3d} lr {lr:.3e} train {running / seen:.4f} "

@@ -162,7 +162,7 @@ def test_single_token_closed_form():
                       query_kernel=1, kv_kernel=1)
     w = identity_lga_weights(cfg)
     x = Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 1, 3)), **R64)
-    out = A.lg_attention(x, cfg, w)
+    out = A.attention_variant(x, cfg, w)
     expected = 2.0 * layer_norm(x, w.norm).data
     assert np.array_equal(out.data, expected)
 
@@ -175,7 +175,7 @@ def test_all_equal_keys_attend_to_value_mean():
     xn = layer_norm(x, w.norm)
     q = A.local_queries(xn, cfg, w)
     _, v = A.global_kv(xn, cfg, w)
-    out = A.lg_attention(x, cfg, w)
+    out = A.attention_variant(x, cfg, w)
     attended = out.data - q.data
     assert np.abs(attended - v.data.mean(axis=1, keepdims=True)).max() <= 1e-10
 
@@ -220,7 +220,7 @@ def test_lg_attention_matches_compositional_oracle():
     cfg = A.LgaConfig(embed_dim=4, heads=2, window_len=4, stride=2)
     w = make_weights(cfg, seed=7)
     x = np.random.default_rng(6).uniform(-1, 1, (1, 8, 4))
-    got = A.lg_attention(Tensor(x, **R64), cfg, w).data
+    got = A.attention_variant(Tensor(x, **R64), cfg, w).data
     assert np.abs(got - numpy_lga_oracle(x, cfg, w)).max() <= 1e-10
 
 
@@ -232,7 +232,7 @@ def test_query_residual_fidelity_with_zero_values():
     x = Tensor(np.random.default_rng(7).uniform(-1, 1, (2, 8, 4)), **R64)
     xn = layer_norm(x, w.norm)
     q = A.local_queries(xn, cfg, w)
-    out = A.lg_attention(x, cfg, w)
+    out = A.attention_variant(x, cfg, w)
     assert np.array_equal(out.data, q.data)
 
 
@@ -244,7 +244,7 @@ def test_non_finite_scores_abort():
     w.conv_k.weight.data[:] = 1e200
     x = Tensor(np.random.default_rng(8).uniform(-1, 1, (1, 4, 2)), **R64)
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
-        A.lg_attention(x, cfg, w)
+        A.attention_variant(x, cfg, w)
 
 
 # -- variants -------------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_head_count_extremes_run_and_gradcheck(heads):
     x = Tensor(np.random.default_rng(13).uniform(-1, 1, (1, 8, 4)),
                requires_grad=True, **R64)
     inputs = [x] + list(w.parameters("w").values())
-    err = max_rel_error(lambda: tsum(A.lg_attention(x, cfg, w)), inputs)
+    err = max_rel_error(lambda: tsum(A.attention_variant(x, cfg, w)), inputs)
     assert err <= 1e-3
 
 
@@ -343,7 +343,7 @@ def test_full_lga_gradient_check():
     x = Tensor(np.random.default_rng(14).uniform(-1, 1, (2, 8, 4)),
                requires_grad=True, **R64)
     inputs = [x] + list(w.parameters("w").values())
-    err = max_rel_error(lambda: tsum(A.lg_attention(x, cfg, w)), inputs)
+    err = max_rel_error(lambda: tsum(A.attention_variant(x, cfg, w)), inputs)
     assert err <= 1e-3
 
 

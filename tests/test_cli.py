@@ -148,6 +148,13 @@ def test_effective_config_roundtrip(tmp_path):
     assert emitted == original
 
 
+def test_config_defaults_and_roundtrip_have_one_source():
+    assert parse_run_config({}) == cli.RunConfig()
+    for cfg in (cli.RunConfig(), parse_run_config(MICRO_CONFIG)):
+        assert parse_run_config(cfg.to_dict()) == cfg
+    assert parse_run_config({"seed": 3}).train.seed == 3
+
+
 def test_config_unknown_key_is_an_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MICRO_CONFIG, "modle": {}}))
@@ -193,6 +200,16 @@ def test_ablate_window_axis_four_rows(tmp_path):
     rows = (out / "ablation_window.csv").read_text().strip().splitlines()
     assert len(rows) == 5
     assert [r.split(",")[0] for r in rows[1:]] == ["4", "8", "16", "32"]
+
+
+@pytest.mark.parametrize("axis,values", [("window", "4,x"), ("attention", "4,8"), ("pe", "4")])
+def test_ablate_rejects_bad_values(tmp_path, capsys, axis, values):
+    data = make_dataset(tmp_path, n=30)
+    config = write_config(tmp_path, dataset=data)
+    rc = main(["ablate", "--config", str(config), "--axis", axis, "--values", values,
+               "--out", str(tmp_path / "ablate")])
+    assert rc == 2
+    assert "--values" in capsys.readouterr().err
 
 
 def test_ablate_pe_axis_four_rows(tmp_path):

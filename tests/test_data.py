@@ -65,6 +65,16 @@ def test_truncated_record_reports_offset(tmp_path):
     assert "byte" in str(exc.value)
 
 
+def test_trailing_bytes_report_offset(tmp_path):
+    path = tmp_path / "junk.lgae"
+    D.write_dataset(random_records(2, np.random.default_rng(2)), path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(FormatError) as exc:
+        D.read_dataset(path)
+    assert f"byte {size}" in str(exc.value)
+
+
 def test_header_fields(tmp_path):
     path = tmp_path / "d.lgae"
     D.write_dataset(random_records(4, np.random.default_rng(3)), path, sample_rate=500)

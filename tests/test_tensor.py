@@ -229,3 +229,13 @@ def test_weight_file_truncation_reports_offset(tmp_path):
     with pytest.raises(FormatError) as exc:
         T.read_weights(path)
     assert "byte" in str(exc.value)
+
+
+def test_weight_file_trailing_bytes_report_offset(tmp_path):
+    path = tmp_path / "w.lgaw"
+    T.write_weights(path, {"a": np.zeros(4, dtype=np.float32)})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(FormatError) as exc:
+        T.read_weights(path)
+    assert f"byte {size}" in str(exc.value)
