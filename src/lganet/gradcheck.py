@@ -34,6 +34,8 @@ def coordinate_rel_errors(fn: Callable[[], Tensor], inputs: Sequence[Tensor],
 
     `fn` must rebuild the forward pass from the live `inputs` tensors on
     every call; their data buffers are perturbed in place and restored.
+    Only the analytic call records a graph; the finite-difference calls
+    run under `no_grad`, which leaves their values unchanged.
     """
     for t in inputs:
         t.grad = None
@@ -44,14 +46,15 @@ def coordinate_rel_errors(fn: Callable[[], Tensor], inputs: Sequence[Tensor],
     for t, ga in zip(inputs, analytic):
         flat = t.data.reshape(-1)
         gn = np.zeros_like(flat)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = fn().item()
-            flat[i] = keep - eps
-            lo = fn().item()
-            flat[i] = keep
-            gn[i] = (hi - lo) / (2.0 * eps)
+        with tensor.no_grad():
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                hi = fn().item()
+                flat[i] = keep - eps
+                lo = fn().item()
+                flat[i] = keep
+                gn[i] = (hi - lo) / (2.0 * eps)
         errors.append(rel_error(ga.reshape(-1), gn))
     for t in inputs:
         t.grad = None

@@ -60,7 +60,8 @@ class BlockSpec:
 
 @dataclass
 class ModelConfig:
-    """Architecture plus the derived per-block specs."""
+    """Architecture knobs plus the per-block specs derived from them on construction,
+    so ``dataclasses.replace`` re-derives the specs from the new knobs."""
 
     leads: int = 12
     input_len: int = 4096
@@ -75,8 +76,8 @@ class ModelConfig:
     variant: str = LgaConfig.variant
     pos_encoding: str = LgaConfig.pos_encoding
     precision: str = "f32"
-    front_end: tuple[ResBlockSpec, ...] = field(default_factory=tuple)
-    blocks: tuple[BlockSpec, ...] = field(default_factory=tuple)
+    front_end: tuple[ResBlockSpec, ...] = field(init=False)
+    blocks: tuple[BlockSpec, ...] = field(init=False)
 
     KNOBS = ("leads", "input_len", "embed_dim", "heads", "num_stages", "num_classes",
              "window_len", "stride", "query_kernel", "kv_kernel", "variant",
@@ -88,11 +89,10 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown model config fields: {sorted(unknown)}")
         cfg = cls(**knobs)
-        cfg._derive()
         cfg.validate()
         return cfg
 
-    def _derive(self) -> None:
+    def __post_init__(self) -> None:
         d = self.embed_dim
         chans = [self.leads] + [max(1, d >> (FRONT_BLOCKS - 1 - j)) for j in range(FRONT_BLOCKS)]
         self.front_end = tuple(ResBlockSpec(a, b) for a, b in zip(chans[:-1], chans[1:]))
@@ -227,8 +227,6 @@ class Model:
     """End-to-end classifier emitting one logit per class."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        if not config.blocks:
-            config._derive()
         config.validate()
         self.config = config
         self.dtype = config.dtype

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _result, add, matmul
+from .tensor import Tensor, _records, _result, add, matmul
 
 
 def conv_out_len(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -152,17 +152,21 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
     """Windowed maximum over the last axis; ties route gradient to the first index."""
     if x.ndim != 3:
         raise ShapeError(f"max_pool1d expects [B, C, L], got {x.shape}")
-    b, c, length = x.shape
-    l_out = conv_out_len(length, kernel, stride, 0)
-    windows = _window_view(x.data, kernel, stride)
-    val = windows.max(axis=-1)
-    out = _result(np.ascontiguousarray(val), (x,), "max_pool1d")
+    span = (conv_out_len(x.shape[2], kernel, stride, 0) - 1) * stride + 1
+    val = x.data[:, :, 0:span:stride].copy()
+    # first index of each window's maximum: a later element wins only when strictly larger
+    idx = np.zeros(val.shape, np.min_scalar_type(kernel - 1)) if _records((x,)) else None
+    for j in range(1, kernel):
+        sl = x.data[:, :, j : j + span : stride]
+        if idx is not None:
+            np.copyto(idx, j, where=sl > val)
+        np.maximum(val, sl, out=val)
+    out = _result(val, (x,), "max_pool1d")
     if out.requires_grad:
-        idx = windows.argmax(axis=-1)
         def backward():
             g = np.zeros_like(x.data)
             for j in range(kernel):
-                g[:, :, j : j + (l_out - 1) * stride + 1 : stride] += np.where(idx == j, out.grad, 0)
+                g[:, :, j : j + span : stride] += np.where(idx == j, out.grad, 0)
             x._accumulate(g)
         out._backward = backward
     return out

@@ -4,7 +4,11 @@ Values are stored in contiguous numpy arrays (float32 for training,
 float64 for gradient checking). Every operation records a backward
 closure on its output; ``Tensor.backward`` replays the closures in
 reverse topological order, accumulating gradients additively across
-fan-out.
+fan-out. Backward releases the graph as it consumes it: after a node's
+closure runs, the node drops its closure, its parents and (unless it is a
+leaf) its gradient. A closure refers to its own output, so an unreleased
+graph is a reference cycle that only the cycle collector frees; released,
+it is freed by refcounting during backward, and can be replayed only once.
 """
 
 from __future__ import annotations
@@ -97,10 +101,11 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable leaf with d(self)/d(leaf)."""
+        """Populate ``grad`` on every reachable leaf with d(self)/d(leaf),
+        releasing the graph on the way (see the module docstring)."""
         if self.size != 1:
             raise GraphError(f"backward requires a scalar, got shape {self.shape}")
-        if not self.requires_grad or (self._backward is None and not self._parents):
+        if not self.requires_grad or self._op == "leaf":
             raise GraphError("backward called on a detached tensor (no recorded graph)")
         order: list[Tensor] = []
         visited: set[int] = set()
@@ -112,15 +117,22 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is None and node._op != "leaf":
+                raise GraphError(f"backward reached op '{node._op}' whose graph was already "
+                                 "consumed by an earlier backward()")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()  # drop the list's reference so a consumed node is freed now
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+                node._parents = ()
+                node.grad = None
 
     # -- operator sugar ----------------------------------------------------
 
@@ -178,6 +190,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """True when an op on ``parents`` records a graph node for backward."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by op '{op}'")
@@ -186,7 +203,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
     out.grad = None
     out._backward = None
     out._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
     else:

@@ -1,5 +1,7 @@
 """Front-end, transformer blocks, full-model composition, and serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,12 @@ def test_front_end_reduces_by_sixteen():
     x = Tensor(np.zeros((1, 12, 4096), dtype=np.float32))
     out = model.front_end(x)
     assert out.shape == (1, 256, 128)
+
+
+def test_replace_rederives_block_specs():
+    cfg = replace(ModelConfig.create(**TINY), window_len=8)
+    assert [s.lga.window_len for s in cfg.blocks] == [8, 8]
+    assert [b.spec.lga.window_len for b in Model(cfg).blocks] == [8, 8]
 
 
 def test_resblock_zero_weights_identity_skip():

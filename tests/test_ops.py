@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lganet import ops
+from lganet import tensor as T
 from lganet.errors import ShapeError
 from lganet.gradcheck import max_rel_error
 from lganet.ops import Conv1dParams, LayerNormParams
@@ -137,6 +138,36 @@ def test_max_pool_tie_routes_gradient_to_first_index():
     x = Tensor([[[2.0, 2.0]]], requires_grad=True, dtype="f64")
     tsum(ops.max_pool1d(x, 2, 2)).backward()
     assert x.grad.tolist() == [[[1.0, 0.0]]]
+
+
+def max_pool_argmax_oracle(x, kernel, stride, cotangent):
+    """The former max_pool1d: max and first-index argmax over a strided window
+    view, with the gradient scattered back per window offset."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)[:, :, ::stride]
+    idx = windows.argmax(axis=-1)
+    l_out = windows.shape[2]
+    g = np.zeros_like(x)
+    for j in range(kernel):
+        g[:, :, j : j + (l_out - 1) * stride + 1 : stride] += np.where(idx == j, cotangent, 0)
+    return np.ascontiguousarray(windows.max(axis=-1)), g
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("kernel,stride,length", [(2, 2, 12), (2, 2, 13), (3, 2, 11), (3, 2, 12)])
+def test_max_pool_matches_argmax_oracle_bit_for_bit(dtype, kernel, stride, length):
+    rng = np.random.default_rng(kernel * 100 + length)
+    # small integers make many ties, which must route to the first index
+    for data in (rng.integers(0, 3, (2, 3, length)), rng.uniform(-1, 1, (2, 3, length))):
+        x = Tensor(data, requires_grad=True, dtype=dtype)
+        out = ops.max_pool1d(x, kernel, stride)
+        cot = rng.uniform(-1, 1, out.shape).astype(x.dtype)
+        tsum(out * Tensor(cot, dtype=dtype)).backward()
+        val, grad = max_pool_argmax_oracle(x.data, kernel, stride, cot)
+        assert out.data.dtype == val.dtype and out.data.flags.c_contiguous
+        assert np.array_equal(out.data, val)
+        assert np.array_equal(x.grad, grad)
+        with T.no_grad():
+            assert np.array_equal(ops.max_pool1d(x, kernel, stride).data, val)
 
 
 def test_max_pool_window_too_large():

@@ -90,6 +90,21 @@ def test_backward_on_detached_tensor_is_an_error():
         Tensor([3.0], requires_grad=True).backward()
 
 
+def test_backward_releases_the_graph_and_runs_once():
+    x = Tensor([1.0, 2.0], requires_grad=True, dtype="f64")
+    y = x * x
+    loss = y.sum()
+    loss.backward()
+    assert x.grad.tolist() == [2.0, 4.0]
+    for node in (y, loss):
+        assert node._backward is None and node._parents == () and node.grad is None
+    with pytest.raises(GraphError, match="already consumed"):
+        loss.backward()
+    with pytest.raises(GraphError, match="already consumed"):
+        (y * 3.0).sum().backward()  # a new root over a consumed node
+    assert x.grad.tolist() == [2.0, 4.0]
+
+
 def test_fanout_accumulates_additively():
     x = Tensor([5.0], requires_grad=True)
     (x + x).sum().backward()
@@ -182,6 +197,19 @@ def test_gradient_error_distribution_on_core_ops():
     errs = coordinate_rel_errors(lambda: T.softmax(T.matmul(x, w), axis=-1).sum(), [x, w])
     assert np.quantile(errs, 0.99) <= 1e-4
     assert errs.max() <= 1e-3
+
+
+def test_only_the_analytic_evaluation_records_a_graph():
+    x = Tensor([0.5, -1.5], requires_grad=True, dtype="f64")
+    recorded = []
+
+    def fn():
+        out = (x * x).sum()
+        recorded.append(out.requires_grad)
+        return out
+
+    assert coordinate_rel_errors(fn, [x]).max() <= 1e-6
+    assert recorded == [True] + [False] * 4
 
 
 # -- weight file format ----------------------------------------------------

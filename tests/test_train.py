@@ -1,5 +1,6 @@
 """Loss, optimizer, schedule, early stopping, metrics, and the training loop."""
 
+import gc
 import math
 
 import numpy as np
@@ -264,6 +265,27 @@ def overfit_batch(model, records, steps, lr):
         adamw_step(params, state, lr)
         losses.append(loss.item())
     return losses
+
+
+def test_train_step_leaves_no_cyclic_garbage():
+    """Backward releases the step's graph, so refcounting frees all of it and
+    the cycle collector finds no Tensor to collect."""
+    model = micro_model(seed=7)
+    records = synth_dataset(4, 6, seed=8, leads=3, length=256)
+    gc.collect()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        overfit_batch(model, records, steps=1, lr=1e-3)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, Tensor)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []
 
 
 def test_one_batch_overfit_reaches_near_zero_loss():
