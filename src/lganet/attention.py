@@ -179,14 +179,10 @@ def _ape_rows(w: LgaWeights, cfg: LgaConfig, n: int) -> Tensor:
     return reshape(narrow(w.ape, slice(0, n)), (1, n, cfg.embed_dim))
 
 
-def _window_mean_ape(w: LgaWeights, cfg: LgaConfig, n: int) -> Tensor:
-    """Per-window mean of absolute encodings, zeros on the halving halo -> [1, M, D]."""
-    _check_capacity(cfg, n)
-    pe = transpose(reshape(narrow(w.ape, slice(0, n)), (1, n, cfg.embed_dim)), (0, 2, 1))
-    if cfg.halo:
-        pe = pad_axis(pe, 2, cfg.halo, cfg.halo)
-    pooled = avg_pool1d(pe, cfg.window_len, cfg.stride)
-    return transpose(pooled, (0, 2, 1))
+def _halo_ape_rows(w: LgaWeights, cfg: LgaConfig, n: int) -> Tensor:
+    """Absolute encodings with zeros on the halving halo -> [1, n + 2 * halo, D]."""
+    pe = _ape_rows(w, cfg, n)
+    return pad_axis(pe, 1, cfg.halo, cfg.halo) if cfg.halo else pe
 
 
 def _relative_bias(w: LgaWeights, cfg: LgaConfig, q_pos: np.ndarray, k_pos: np.ndarray) -> Tensor:
@@ -238,30 +234,24 @@ def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, reference: bool
     b, n, d = x_norm.shape
     l, s = cfg.window_len, cfg.stride
     m = window_count(n, l, s, cfg.halving)
-    xc = transpose(x_norm, (0, 2, 1))
-    if cfg.halo:
-        xc = pad_axis(xc, 2, cfg.halo, cfg.halo)
+    xp = pad_axis(x_norm, 1, cfg.halo, cfg.halo) if cfg.halo else x_norm
     if not reference:
-        q = avg_pool1d(conv1d(xc, w.conv_q), l, s)
-        return transpose(q, (0, 2, 1))
+        return avg_pool1d(conv1d(xp, w.conv_q), l, s)
     p_q = w.conv_q.padding
     valid_conv = replace(w.conv_q, padding=0)
-    n_pad = xc.shape[2]
+    n_pad = xp.shape[1]
     queries = []
     for i in range(m):
         lo, hi = i * s - p_q, i * s + l + p_q
-        piece = narrow(xc, (slice(None), slice(None), slice(max(lo, 0), min(hi, n_pad))))
-        piece = pad_axis(piece, 2, max(0, -lo), max(0, hi - n_pad))
-        queries.append(tmean(conv1d(piece, valid_conv), axis=2))
-    return transpose(stack(queries, axis=2), (0, 2, 1))
+        piece = narrow(xp, (slice(None), slice(max(lo, 0), min(hi, n_pad))))
+        piece = pad_axis(piece, 1, max(0, -lo), max(0, hi - n_pad))
+        queries.append(tmean(conv1d(piece, valid_conv), axis=1))
+    return stack(queries, axis=1)
 
 
 def global_kv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Tensor]:
     """Shape-preserving convolutions over the whole sequence -> (K, V), each [B, N, D]."""
-    xc = transpose(x_norm, (0, 2, 1))
-    k = transpose(conv1d(xc, w.conv_k), (0, 2, 1))
-    v = transpose(conv1d(xc, w.conv_v), (0, 2, 1))
-    return k, v
+    return conv1d(x_norm, w.conv_k), conv1d(x_norm, w.conv_v)
 
 
 def _lga_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
@@ -269,7 +259,7 @@ def _lga_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | Non
     q = local_queries(x_norm, cfg, w)
     k, v = global_kv(x_norm, cfg, w)
     if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
-        q = add(q, _window_mean_ape(w, cfg, n))
+        q = add(q, avg_pool1d(_halo_ape_rows(w, cfg, n), cfg.window_len, cfg.stride))
         k = add(k, _ape_rows(w, cfg, n))
     rel_bias = None
     if cfg.pos_encoding == PE_RELATIVE:
@@ -282,10 +272,7 @@ def _lga_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | Non
 
 def _vit_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
     b, n, d = x_norm.shape
-    xc = transpose(x_norm, (0, 2, 1))
-    q = transpose(conv1d(xc, w.conv_q), (0, 2, 1))
-    k = transpose(conv1d(xc, w.conv_k), (0, 2, 1))
-    v = transpose(conv1d(xc, w.conv_v), (0, 2, 1))
+    q, k, v = (conv1d(x_norm, c) for c in (w.conv_q, w.conv_k, w.conv_v))
     if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
         rows = _ape_rows(w, cfg, n)
         q, k = add(q, rows), add(k, rows)
@@ -301,10 +288,7 @@ def _swin_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | No
     if n % win:
         raise ConfigError(f"sequence length {n} not divisible by attention window {win}")
     heads, dh = cfg.heads, cfg.head_dim
-    xc = transpose(x_norm, (0, 2, 1))
-    q = transpose(conv1d(xc, w.conv_q), (0, 2, 1))
-    k = transpose(conv1d(xc, w.conv_k), (0, 2, 1))
-    v = transpose(conv1d(xc, w.conv_v), (0, 2, 1))
+    q, k, v = (conv1d(x_norm, c) for c in (w.conv_q, w.conv_k, w.conv_v))
     if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
         rows = _ape_rows(w, cfg, n)
         q, k = add(q, rows), add(k, rows)
@@ -321,8 +305,7 @@ def _swin_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | No
         capture.setdefault("attn", []).append(attn.data)
     ow = matmul(attn, vw)  # [B, nw, H, win, Dh]
     o = reshape(transpose(ow, (0, 1, 3, 2, 4)), (b, n, d))
-    pooled = avg_pool1d(transpose(o, (0, 2, 1)), cfg.stride, cfg.stride)
-    return transpose(pooled, (0, 2, 1))
+    return avg_pool1d(o, cfg.stride, cfg.stride)
 
 
 def _local_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
@@ -336,10 +319,8 @@ def _local_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | N
     q = tmean(xw, axis=2)  # mean of raw window embeddings
     kw = xw
     if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
-        q = add(q, _window_mean_ape(w, cfg, n))
-        pe = _ape_rows(w, cfg, n)
-        if cfg.halo:
-            pe = pad_axis(pe, 1, cfg.halo, cfg.halo)
+        pe = _halo_ape_rows(w, cfg, n)
+        q = add(q, avg_pool1d(pe, l, s))  # per-window mean of the encodings
         kw = add(kw, unfold_windows(pe, l, s))
     qh = reshape(q, (b, m, heads, 1, dh))
     def heads_of(t):

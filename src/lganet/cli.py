@@ -283,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of records")
     p.add_argument("--out", required=True, help="output .lgae path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--leads", type=int, default=12)
-    p.add_argument("--length", type=int, default=4096)
-    p.add_argument("--classes", type=int, default=6)
+    p.add_argument("--leads", type=int, default=ModelConfig.leads)
+    p.add_argument("--length", type=int, default=ModelConfig.input_len)
+    p.add_argument("--classes", type=int, default=ModelConfig.num_classes)
     p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
     p.set_defaults(func=cmd_synth)
 

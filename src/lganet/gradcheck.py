@@ -139,7 +139,7 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], float]]]:
 
     def conv_build(rng):
         p = ops.Conv1dParams.create(3, 4, 3, stride=2, padding=1, rng=rng, dtype=np.float64)
-        x = _rand(rng, (2, 3, 9))
+        x = _rand(rng, (2, 9, 3))  # [B, L, C]
         return (lambda: _weighted_sum(ops.conv1d(x, p))), [x, p.weight, p.bias]
     register("conv1d", conv_build)
 
@@ -153,12 +153,12 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], float]]]:
 
     def maxpool_build(rng):
         # well-separated values keep the argmax stable under the probe step
-        vals = rng.permutation(2 * 3 * 12).reshape(2, 3, 12) * 0.05
+        vals = rng.permutation(2 * 12 * 3).reshape(2, 12, 3) * 0.05
         x = Tensor(vals, requires_grad=True, dtype=np.float64)
         return (lambda: _weighted_sum(ops.max_pool1d(x, 3, 2))), [x]
     register("max_pool1d", maxpool_build)
 
-    simple("avg_pool1d", lambda r: (_rand(r, (2, 3, 11)),), lambda x: ops.avg_pool1d(x, 4, 2))
+    simple("avg_pool1d", lambda r: (_rand(r, (2, 11, 3)),), lambda x: ops.avg_pool1d(x, 4, 2))
 
     def linear_build(rng):
         w, b = ops.linear_params(4, 3, rng, np.float64)

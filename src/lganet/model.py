@@ -143,7 +143,7 @@ class ModelConfig:
 
 
 class ResBlock:
-    """conv(k) -> ReLU -> conv(k) -> add skip -> ReLU -> halving max pool."""
+    """conv(k) -> ReLU -> conv(k) -> add skip -> ReLU -> halving max pool, on [B, L, C]."""
 
     def __init__(self, spec: ResBlockSpec, rng: np.random.Generator, dtype):
         spec.validate()
@@ -193,8 +193,7 @@ class TransformerBlock:
 
     def _pool_reduce(self, t: Tensor, conv: Conv1dParams) -> Tensor:
         s = self.spec.lga.stride
-        pooled = max_pool1d(transpose(t, (0, 2, 1)), s, s)
-        return transpose(conv1d(pooled, conv), (0, 2, 1))
+        return conv1d(max_pool1d(t, s, s), conv)
 
     def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
         if x.shape[1] % self.spec.lga.stride:
@@ -240,9 +239,10 @@ class Model:
             raise ConfigError(
                 f"input shape {x.shape} does not match (B, {self.config.leads}, {self.config.input_len})"
             )
+        x = transpose(x, (0, 2, 1))  # [B, leads, N] -> [B, N, leads]
         for blk in self.res_blocks:
             x = blk.forward(x)
-        return transpose(x, (0, 2, 1))
+        return x
 
     def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
         h = self.front_end(x)

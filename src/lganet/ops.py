@@ -2,7 +2,8 @@
 
 All layers are pure functions of their inputs and parameters and register
 backward closures on their outputs, so they compose freely with the ops in
-``tensor``.
+``tensor``. Sequences are channels-last, [B, L, C], for every layer: the
+layout of the attention stack, so no op needs a transpose around it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _records, _result, add, matmul
+from .tensor import Tensor, _records, _result, _window_view, add, matmul
 
 
 def conv_out_len(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -60,41 +61,36 @@ class Conv1dParams:
                    Tensor(b, requires_grad=True, dtype=dtype))
 
 
-def _window_view(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """[B, C, L] -> strided view [B, C, L_out, kernel] of sliding windows."""
-    return np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)[:, :, ::stride]
-
-
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Cross-correlate [B, C_in, L] with p.weight -> [B, C_out, L_out]."""
+    """Cross-correlate [B, L, C_in] with p.weight -> [B, L_out, C_out]."""
     if x.ndim != 3:
-        raise ShapeError(f"conv1d expects [B, C, L], got {x.shape}")
-    b, c, length = x.shape
+        raise ShapeError(f"conv1d expects [B, L, C], got {x.shape}")
+    b, length, c = x.shape
     if c != p.in_channels:
         raise ShapeError(f"conv1d input has {c} channels, params expect {p.in_channels}")
     k, s, pad = p.kernel_size, p.stride, p.padding
     l_out = conv_out_len(length, k, s, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0))) if pad else x.data
     # im2col: one matmul instead of a loop over output positions
-    cols = _window_view(xp, k, s).transpose(0, 2, 1, 3).reshape(b * l_out, c * k)
+    cols = _window_view(xp, k, s).reshape(b * l_out, c * k)
     w2 = p.weight.data.reshape(p.out_channels, c * k)
-    val = (cols @ w2.T).reshape(b, l_out, p.out_channels).transpose(0, 2, 1)
-    val = val + p.bias.data[:, None]
-    out = _result(np.ascontiguousarray(val), (x, p.weight, p.bias), "conv1d")
+    val = (cols @ w2.T).reshape(b, l_out, p.out_channels)
+    val += p.bias.data
+    out = _result(val, (x, p.weight, p.bias), "conv1d")
     if out.requires_grad:
         def backward():
-            g = out.grad  # [B, C_out, L_out]
+            g = out.grad  # [B, L_out, C_out]
             if p.bias.requires_grad:
-                p.bias._accumulate(g.sum(axis=(0, 2)))
-            g2 = g.transpose(0, 2, 1).reshape(b * l_out, p.out_channels)
+                p.bias._accumulate(g.sum(axis=(0, 1)))
+            g2 = g.reshape(b * l_out, p.out_channels)
             if p.weight.requires_grad:
                 p.weight._accumulate((g2.T @ cols).reshape(p.weight.shape))
             if x.requires_grad:
                 dcols = (g2 @ w2).reshape(b, l_out, c, k)
-                gx = np.zeros((b, c, length + 2 * pad), dtype=x.dtype)
+                gx = np.zeros((b, length + 2 * pad, c), dtype=x.dtype)
                 for j in range(k):
-                    gx[:, :, j : j + (l_out - 1) * s + 1 : s] += dcols[:, :, :, j].transpose(0, 2, 1)
-                x._accumulate(gx[:, :, pad : pad + length] if pad else gx)
+                    gx[:, j : j + (l_out - 1) * s + 1 : s] += dcols[:, :, :, j]
+                x._accumulate(gx[:, pad : pad + length] if pad else gx)
         out._backward = backward
     return out
 
@@ -149,15 +145,16 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
 
 
 def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
-    """Windowed maximum over the last axis; ties route gradient to the first index."""
+    """Windowed maximum over L of [B, L, C] -> [B, L_out, C]; ties route gradient
+    to the first index."""
     if x.ndim != 3:
-        raise ShapeError(f"max_pool1d expects [B, C, L], got {x.shape}")
-    span = (conv_out_len(x.shape[2], kernel, stride, 0) - 1) * stride + 1
-    val = x.data[:, :, 0:span:stride].copy()
+        raise ShapeError(f"max_pool1d expects [B, L, C], got {x.shape}")
+    span = (conv_out_len(x.shape[1], kernel, stride, 0) - 1) * stride + 1
+    val = x.data[:, 0:span:stride].copy()
     # first index of each window's maximum: a later element wins only when strictly larger
     idx = np.zeros(val.shape, np.min_scalar_type(kernel - 1)) if _records((x,)) else None
     for j in range(1, kernel):
-        sl = x.data[:, :, j : j + span : stride]
+        sl = x.data[:, j : j + span : stride]
         if idx is not None:
             np.copyto(idx, j, where=sl > val)
         np.maximum(val, sl, out=val)
@@ -166,26 +163,29 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         def backward():
             g = np.zeros_like(x.data)
             for j in range(kernel):
-                g[:, :, j : j + span : stride] += np.where(idx == j, out.grad, 0)
+                g[:, j : j + span : stride] += np.where(idx == j, out.grad, 0)
             x._accumulate(g)
         out._backward = backward
     return out
 
 
 def avg_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
-    """Windowed mean over the last axis; gradient splits uniformly across the window."""
+    """Windowed mean over L of [B, L, C] -> [B, L_out, C]; gradient splits uniformly
+    across the window."""
     if x.ndim != 3:
-        raise ShapeError(f"avg_pool1d expects [B, C, L], got {x.shape}")
-    b, c, length = x.shape
-    l_out = conv_out_len(length, kernel, stride, 0)
-    windows = _window_view(x.data, kernel, stride)
-    out = _result(np.ascontiguousarray(windows.mean(axis=-1)), (x,), "avg_pool1d")
+        raise ShapeError(f"avg_pool1d expects [B, L, C], got {x.shape}")
+    span = (conv_out_len(x.shape[1], kernel, stride, 0) - 1) * stride + 1
+    val = x.data[:, 0:span:stride].copy()
+    for j in range(1, kernel):
+        val += x.data[:, j : j + span : stride]
+    val /= kernel
+    out = _result(val, (x,), "avg_pool1d")
     if out.requires_grad:
         def backward():
             share = out.grad / kernel
             g = np.zeros_like(x.data)
             for j in range(kernel):
-                g[:, :, j : j + (l_out - 1) * stride + 1 : stride] += share
+                g[:, j : j + span : stride] += share
             x._accumulate(g)
         out._backward = backward
     return out

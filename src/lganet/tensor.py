@@ -473,6 +473,11 @@ def take_rows(table, index: np.ndarray) -> Tensor:
     return out
 
 
+def _window_view(x: np.ndarray, size: int, step: int) -> np.ndarray:
+    """[B, L, C] -> strided view [B, L_out, C, size] of sliding windows along axis 1."""
+    return np.lib.stride_tricks.sliding_window_view(x, size, axis=1)[:, ::step]
+
+
 def unfold_windows(x, size: int, step: int) -> Tensor:
     """Overlapping windows of a [B, N, D] tensor along axis 1 -> [B, M, size, D]."""
     x = _as_tensor(x)
@@ -484,7 +489,7 @@ def unfold_windows(x, size: int, step: int) -> Tensor:
     if n < size:
         raise ShapeError(f"sequence length {n} shorter than window {size}")
     m = (n - size) // step + 1
-    view = np.lib.stride_tricks.sliding_window_view(x.data, size, axis=1)[:, ::step]
+    view = _window_view(x.data, size, step)
     out = _result(np.ascontiguousarray(view.transpose(0, 1, 3, 2)), (x,), "unfold")
     if out.requires_grad:
         def backward():

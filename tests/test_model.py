@@ -10,7 +10,7 @@ from lganet.errors import ConfigError
 from lganet.gradcheck import MINI_CONFIG, model_check
 from lganet.model import Model, ModelConfig, ResBlock, ResBlockSpec, count_parameters
 from lganet.ops import layer_norm, linear_params, max_pool1d, relu
-from lganet.tensor import Tensor, concatenate, read_weights, transpose
+from lganet.tensor import Tensor, concatenate, read_weights
 
 TINY = dict(leads=2, input_len=128, embed_dim=8, heads=2, num_stages=2,
             num_classes=3, window_len=4, stride=2, precision="f64")
@@ -49,7 +49,7 @@ def test_resblock_zero_weights_identity_skip():
         conv.weight.data[:] = 0.0
         conv.bias.data[:] = 0.0
     assert blk.skip is None  # channel counts match: identity skip
-    x = Tensor(rng.uniform(-1, 1, (2, 3, 8)), dtype="f64")
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 8)).transpose(0, 2, 1), dtype="f64")  # [B, L, C]
     expected = max_pool1d(relu(x), 2, 2).data
     assert np.array_equal(blk.forward(x).data, expected)
 
@@ -77,7 +77,7 @@ def test_block_dead_path_reduces_to_pooled_norm():
     block.res_conv.bias.data[:] = 0.0
     x = Tensor(np.random.default_rng(2).uniform(-1, 1, (2, 8, d)), dtype="f64")
     x_norm = layer_norm(x, block.attn.norm)
-    expected = transpose(max_pool1d(transpose(x_norm, (0, 2, 1)), 2, 2), (0, 2, 1)).data
+    expected = max_pool1d(x_norm, 2, 2).data
     assert np.abs(block.forward(x).data - expected).max() <= 1e-15
 
 
@@ -167,6 +167,31 @@ def test_halving_law_every_stage_every_variant(variant):
         h = blk.forward(h)
         n //= 2
         assert h.shape[1] == n
+
+
+def recorded_ops(out, op):
+    """Count the distinct graph nodes tagged ``op`` that ``out`` depends on."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._op == op
+        stack.extend(node._parents)
+    return count
+
+
+@pytest.mark.parametrize("variant,transposes", [
+    (A.VARIANT_LGA, 5), (A.VARIANT_VIT, 5), (A.VARIANT_SWIN, 5),
+    (A.VARIANT_GLOBAL_QKV, 5), (A.VARIANT_LOCAL_QKV, 3),
+])
+def test_block_transposes_only_to_split_and_merge_heads(variant, transposes):
+    # conv and pool take the block's [B, N, D] layout: the only transposes left
+    # split and merge heads (SWIN: windows), plus K^T for the scores
+    block = tiny_model(seed=16, variant=variant).blocks[0]
+    x = Tensor(np.random.default_rng(17).uniform(-1, 1, (2, 8, 8)), requires_grad=True, dtype="f64")
+    assert recorded_ops(block.forward(x), "transpose") == transposes
 
 
 def test_divisibility_validation():

@@ -19,6 +19,11 @@ def make_conv(w, b, stride=1, padding=0):
                         Tensor(w, dtype="f64"), Tensor(np.asarray(b, dtype=np.float64), dtype="f64"))
 
 
+def cl(a):
+    """Move a [B, C, L] array to the ops' [B, L, C] layout, or back: the swap is its own inverse."""
+    return np.ascontiguousarray(np.asarray(a).transpose(0, 2, 1))
+
+
 def conv1d_loops(x, w, b, stride, padding):
     """Independent nested-loop oracle for cross-correlation."""
     bsz, cin, length = x.shape
@@ -39,14 +44,14 @@ def conv1d_loops(x, w, b, stride, padding):
 
 def test_conv1d_identity_kernel():
     p = make_conv([[[1.0]]], [0.0])
-    x = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 1, 6)), dtype="f64")
-    assert np.array_equal(ops.conv1d(x, p).data, x.data)
+    x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 6))
+    assert np.array_equal(cl(ops.conv1d(Tensor(cl(x), dtype="f64"), p).data), x)
 
 
 def test_conv1d_hand_evaluated_edge_detector():
     p = make_conv([[[1.0, 0.0, -1.0]]], [0.0])
-    x = Tensor([[[1.0, 2.0, 3.0, 4.0]]], dtype="f64")
-    assert ops.conv1d(x, p).data.tolist() == [[[-2.0, -2.0]]]
+    x = Tensor(cl([[[1.0, 2.0, 3.0, 4.0]]]), dtype="f64")
+    assert cl(ops.conv1d(x, p).data).tolist() == [[[-2.0, -2.0]]]
 
 
 @pytest.mark.parametrize("cin,cout,k,stride,padding,length", [
@@ -61,20 +66,20 @@ def test_conv1d_matches_loop_oracle(cin, cout, k, stride, padding, length):
     b = rng.uniform(-1, 1, cout)
     x = rng.uniform(-1, 1, (2, cin, length))
     p = make_conv(w, b, stride, padding)
-    got = ops.conv1d(Tensor(x, dtype="f64"), p).data
+    got = cl(ops.conv1d(Tensor(cl(x), dtype="f64"), p).data)
     assert np.abs(got - conv1d_loops(x, w, b, stride, padding)).max() <= 1e-12
 
 
 def test_conv1d_window_too_large():
     p = make_conv(np.zeros((1, 1, 5)), [0.0])
     with pytest.raises(ShapeError):
-        ops.conv1d(Tensor(np.zeros((1, 1, 3))), p)
+        ops.conv1d(Tensor(cl(np.zeros((1, 1, 3)))), p)
 
 
 def test_conv1d_channel_mismatch():
     p = make_conv(np.zeros((1, 2, 1)), [0.0])
     with pytest.raises(ShapeError):
-        ops.conv1d(Tensor(np.zeros((1, 3, 4))), p)
+        ops.conv1d(Tensor(cl(np.zeros((1, 3, 4)))), p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,8 +94,8 @@ def test_length_algebra(length, k, stride, padding):
     assert ops.conv_out_len(length, k, stride, padding) == expected
     p = Conv1dParams(1, 1, k, stride, padding,
                      Tensor(np.ones((1, 1, k))), Tensor(np.zeros(1)))
-    out = ops.conv1d(Tensor(np.ones((1, 1, length))), p)
-    assert out.shape == (1, 1, expected)
+    out = ops.conv1d(Tensor(cl(np.ones((1, 1, length)))), p)
+    assert cl(out.data).shape == (1, 1, expected)
 
 
 def test_shift_relation_stride1_no_padding():
@@ -98,8 +103,8 @@ def test_shift_relation_stride1_no_padding():
     x = rng.uniform(-1, 1, (1, 2, 16))
     shifted = np.concatenate([rng.uniform(-1, 1, (1, 2, 1)), x[:, :, :-1]], axis=2)
     p = make_conv(rng.uniform(-1, 1, (3, 2, 3)), rng.uniform(-1, 1, 3))
-    out = ops.conv1d(Tensor(x, dtype="f64"), p).data
-    out_shifted = ops.conv1d(Tensor(shifted, dtype="f64"), p).data
+    out = cl(ops.conv1d(Tensor(cl(x), dtype="f64"), p).data)
+    out_shifted = cl(ops.conv1d(Tensor(cl(shifted), dtype="f64"), p).data)
     assert np.array_equal(out_shifted[:, :, 1:], out[:, :, :-1])
 
 
@@ -125,19 +130,19 @@ def test_layer_norm_statistics():
 
 
 def test_max_pool_basic():
-    out = ops.max_pool1d(Tensor([[[1.0, 3.0, 2.0, 5.0]]]), 2, 2)
-    assert out.data.tolist() == [[[3.0, 5.0]]]
+    out = ops.max_pool1d(Tensor(cl([[[1.0, 3.0, 2.0, 5.0]]])), 2, 2)
+    assert cl(out.data).tolist() == [[[3.0, 5.0]]]
 
 
 def test_max_pool_constant_input():
-    out = ops.max_pool1d(Tensor(np.full((1, 2, 6), 4.0)), 3, 3)
-    assert np.array_equal(out.data, np.full((1, 2, 2), 4.0))
+    out = ops.max_pool1d(Tensor(cl(np.full((1, 2, 6), 4.0))), 3, 3)
+    assert np.array_equal(cl(out.data), np.full((1, 2, 2), 4.0))
 
 
 def test_max_pool_tie_routes_gradient_to_first_index():
-    x = Tensor([[[2.0, 2.0]]], requires_grad=True, dtype="f64")
+    x = Tensor(cl([[[2.0, 2.0]]]), requires_grad=True, dtype="f64")
     tsum(ops.max_pool1d(x, 2, 2)).backward()
-    assert x.grad.tolist() == [[[1.0, 0.0]]]
+    assert cl(x.grad).tolist() == [[[1.0, 0.0]]]
 
 
 def max_pool_argmax_oracle(x, kernel, stride, cotangent):
@@ -158,26 +163,26 @@ def test_max_pool_matches_argmax_oracle_bit_for_bit(dtype, kernel, stride, lengt
     rng = np.random.default_rng(kernel * 100 + length)
     # small integers make many ties, which must route to the first index
     for data in (rng.integers(0, 3, (2, 3, length)), rng.uniform(-1, 1, (2, 3, length))):
-        x = Tensor(data, requires_grad=True, dtype=dtype)
+        x = Tensor(cl(data), requires_grad=True, dtype=dtype)
         out = ops.max_pool1d(x, kernel, stride)
         cot = rng.uniform(-1, 1, out.shape).astype(x.dtype)
         tsum(out * Tensor(cot, dtype=dtype)).backward()
-        val, grad = max_pool_argmax_oracle(x.data, kernel, stride, cot)
+        val, grad = max_pool_argmax_oracle(cl(x.data), kernel, stride, cl(cot))
         assert out.data.dtype == val.dtype and out.data.flags.c_contiguous
-        assert np.array_equal(out.data, val)
-        assert np.array_equal(x.grad, grad)
+        assert np.array_equal(cl(out.data), val)
+        assert np.array_equal(cl(x.grad), grad)
         with T.no_grad():
-            assert np.array_equal(ops.max_pool1d(x, kernel, stride).data, val)
+            assert np.array_equal(cl(ops.max_pool1d(x, kernel, stride).data), val)
 
 
 def test_max_pool_window_too_large():
     with pytest.raises(ShapeError):
-        ops.max_pool1d(Tensor(np.zeros((1, 1, 3))), 4, 1)
+        ops.max_pool1d(Tensor(cl(np.zeros((1, 1, 3)))), 4, 1)
 
 
 def test_avg_pool_basic():
-    out = ops.avg_pool1d(Tensor([[[1.0, 3.0, 2.0, 5.0]]]), 2, 2)
-    assert out.data.tolist() == [[[2.0, 3.5]]]
+    out = ops.avg_pool1d(Tensor(cl([[[1.0, 3.0, 2.0, 5.0]]])), 2, 2)
+    assert cl(out.data).tolist() == [[[2.0, 3.5]]]
 
 
 def test_avg_pool_kernel_one_is_identity():
@@ -193,7 +198,7 @@ def test_avg_pool_matches_loop_oracle(k, stride, length):
     expected = np.zeros((2, 3, l_out))
     for t in range(l_out):
         expected[:, :, t] = x[:, :, t * stride : t * stride + k].mean(axis=-1)
-    got = ops.avg_pool1d(Tensor(x, dtype="f64"), k, stride).data
+    got = cl(ops.avg_pool1d(Tensor(cl(x), dtype="f64"), k, stride).data)
     assert np.abs(got - expected).max() <= 1e-12
 
 
@@ -232,9 +237,9 @@ def test_sigmoid_gradient_vs_finite_differences():
 def test_conv_and_pool_gradients():
     rng = np.random.default_rng(4)
     p = Conv1dParams.create(2, 3, 3, stride=2, padding=1, rng=rng, dtype=np.float64)
-    x = Tensor(rng.uniform(-1, 1, (2, 2, 9)), requires_grad=True, dtype="f64")
+    x = Tensor(cl(rng.uniform(-1, 1, (2, 2, 9))), requires_grad=True, dtype="f64")
     err = max_rel_error(lambda: tsum(ops.conv1d(x, p)), [x, p.weight, p.bias])
     assert err <= 1e-4
-    x2 = Tensor(rng.permutation(24).reshape(2, 2, 6) * 0.1, requires_grad=True, dtype="f64")
+    x2 = Tensor(cl(rng.permutation(24).reshape(2, 2, 6) * 0.1), requires_grad=True, dtype="f64")
     assert max_rel_error(lambda: tsum(ops.max_pool1d(x2, 2, 2)), [x2]) <= 1e-4
     assert max_rel_error(lambda: tsum(ops.avg_pool1d(x2, 3, 2)), [x2]) <= 1e-4
