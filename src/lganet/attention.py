@@ -6,6 +6,11 @@ attends to keys/values convolved from the whole sequence, and adds the
 query tensor back as a residual. Four alternative attention mechanisms
 and three positional-encoding strategies live behind the same interface
 for ablation runs.
+
+Every variant is scaled dot-product attention and differs only in how it
+lays out Q, K, V and the relative score bias: each core builds those and
+calls the one kernel, `_attend` (scores, bias, softmax, capture, weighted
+sum), directly or through the head split of `_mha`.
 """
 
 from __future__ import annotations
@@ -119,15 +124,11 @@ class LgaWeights:
         d = cfg.embed_dim
         norm = LayerNormParams.create(d, dtype)
         conv_q = conv_k = conv_v = None
-        if cfg.variant in (VARIANT_LGA, VARIANT_GLOBAL_QKV):
-            q_pad, kv_pad = (cfg.query_kernel - 1) // 2, (cfg.kv_kernel - 1) // 2
-            conv_q = Conv1dParams.create(d, d, cfg.query_kernel, 1, q_pad, rng, dtype)
-            conv_k = Conv1dParams.create(d, d, cfg.kv_kernel, 1, kv_pad, rng, dtype)
-            conv_v = Conv1dParams.create(d, d, cfg.kv_kernel, 1, kv_pad, rng, dtype)
-        elif cfg.variant in (VARIANT_VIT, VARIANT_SWIN):
-            conv_q = Conv1dParams.create(d, d, 1, 1, 0, rng, dtype)
-            conv_k = Conv1dParams.create(d, d, 1, 1, 0, rng, dtype)
-            conv_v = Conv1dParams.create(d, d, 1, 1, 0, rng, dtype)
+        if cfg.variant != VARIANT_LOCAL_QKV:
+            kernels = ((cfg.query_kernel, cfg.kv_kernel, cfg.kv_kernel)
+                       if cfg.variant in (VARIANT_LGA, VARIANT_GLOBAL_QKV) else (1, 1, 1))
+            conv_q, conv_k, conv_v = (Conv1dParams.create(d, d, k, 1, (k - 1) // 2, rng, dtype)
+                                      for k in kernels)
         ape = rel = None
         if cfg.pos_encoding == PE_SINUSOIDAL:
             ape = Tensor(sinusoidal_encoding(cfg.max_len, d, dtype))
@@ -179,48 +180,51 @@ def _ape_rows(w: LgaWeights, cfg: LgaConfig, n: int) -> Tensor:
     return reshape(narrow(w.ape, slice(0, n)), (1, n, cfg.embed_dim))
 
 
-def _halo_ape_rows(w: LgaWeights, cfg: LgaConfig, n: int) -> Tensor:
-    """Absolute encodings with zeros on the halving halo -> [1, n + 2 * halo, D]."""
-    pe = _ape_rows(w, cfg, n)
-    return pad_axis(pe, 1, cfg.halo, cfg.halo) if cfg.halo else pe
+def _halo_pad(t: Tensor, cfg: LgaConfig) -> Tensor:
+    """Zero-pad the sequence axis of [B, N, D] by the halving halo on each side."""
+    return pad_axis(t, 1, cfg.halo, cfg.halo) if cfg.halo else t
 
 
-def _relative_bias(w: LgaWeights, cfg: LgaConfig, q_pos: np.ndarray, k_pos: np.ndarray) -> Tensor:
-    """Gather the offset table into a [len(q_pos), len(k_pos)] score bias."""
+def _relative_bias(w: LgaWeights, cfg: LgaConfig, m: int, n: int,
+                   step: int = 1, start: int = 0) -> Tensor | None:
+    """[m, n] score bias gathered from the offset table for queries at
+    positions start + i * step and keys at 0..n-1; None unless RELATIVE."""
+    if cfg.pos_encoding != PE_RELATIVE:
+        return None
+    _check_capacity(cfg, n)
     cap = cfg.max_len
-    _check_capacity(cfg, int(k_pos.max()) + 1 if k_pos.size else 0)
-    offsets = k_pos[None, :] - q_pos[:, None]
-    idx = np.clip(offsets, -cap, cap) + cap
-    return take_rows(w.rel, idx)
+    offsets = np.arange(n)[None, :] - (np.arange(m) * step + start)[:, None]
+    return take_rows(w.rel, np.clip(offsets, -cap, cap) + cap)
 
 
 # -- core attention pieces -----------------------------------------------------
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, n, d = x.shape
-    return transpose(reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
+def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, capture: dict | None) -> Tensor:
+    """Scaled dot-product attention on head-split [..., M, Dh] queries and
+    [..., N, Dh] keys/values -> [..., M, Dh].
 
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, n, dh = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, n, h * dh))
-
-
-def _mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
-         rel_bias: Tensor | None = None, capture: dict | None = None) -> Tensor:
-    """Scaled dot-product attention over split heads; q is [B, M, D], k/v [B, N, D]."""
-    b, m, d = q.shape
-    n = k.shape[1]
-    dh = d // heads
-    qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
-    scores = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    if rel_bias is not None:
-        scores = add(scores, reshape(rel_bias, (1, 1, m, n)))
+    ``bias`` broadcasts onto the [..., M, N] scores; the softmax weights are
+    appended to ``capture["attn"]`` when a capture dict is given.
+    """
+    k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = mul(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = add(scores, bias)
     attn = softmax(scores, axis=-1)
     if capture is not None:
         capture.setdefault("attn", []).append(attn.data)
-    return _merge_heads(matmul(attn, vh))
+    return matmul(attn, v)
+
+
+def _mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
+         bias: Tensor | None, capture: dict | None) -> Tensor:
+    """Multi-head attention; q is [B, M, D], k/v [B, N, D] -> [B, M, D]."""
+    b, m, d = q.shape
+    def split(t):
+        return transpose(reshape(t, (b, t.shape[1], heads, d // heads)), (0, 2, 1, 3))
+    o = _attend(split(q), split(k), split(v), bias, capture)
+    return reshape(transpose(o, (0, 2, 1, 3)), (b, m, d))
 
 
 def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, reference: bool = False) -> Tensor:
@@ -234,7 +238,7 @@ def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, reference: bool
     b, n, d = x_norm.shape
     l, s = cfg.window_len, cfg.stride
     m = window_count(n, l, s, cfg.halving)
-    xp = pad_axis(x_norm, 1, cfg.halo, cfg.halo) if cfg.halo else x_norm
+    xp = _halo_pad(x_norm, cfg)
     if not reference:
         return avg_pool1d(conv1d(xp, w.conv_q), l, s)
     p_q = w.conv_q.padding
@@ -254,32 +258,35 @@ def global_kv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Te
     return conv1d(x_norm, w.conv_k), conv1d(x_norm, w.conv_v)
 
 
+def _pointwise_qkv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Tensor, Tensor]:
+    """1x1-conv Q, K, V over every position, absolute encodings added to Q and K."""
+    q, k, v = (conv1d(x_norm, c) for c in (w.conv_q, w.conv_k, w.conv_v))
+    if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
+        pe = _ape_rows(w, cfg, x_norm.shape[1])
+        q, k = add(q, pe), add(k, pe)
+    return q, k, v
+
+
 def _lga_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
-    b, n, d = x_norm.shape
+    if cfg.variant == VARIANT_GLOBAL_QKV:
+        # queries built exactly like keys/values, then pooled: window == stride
+        cfg = replace(cfg, window_len=cfg.stride)
+    n = x_norm.shape[1]
     q = local_queries(x_norm, cfg, w)
     k, v = global_kv(x_norm, cfg, w)
     if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
-        q = add(q, avg_pool1d(_halo_ape_rows(w, cfg, n), cfg.window_len, cfg.stride))
-        k = add(k, _ape_rows(w, cfg, n))
-    rel_bias = None
-    if cfg.pos_encoding == PE_RELATIVE:
-        m = q.shape[1]
-        q_pos = np.arange(m) * cfg.stride - cfg.halo  # window start in true coordinates
-        rel_bias = _relative_bias(w, cfg, q_pos, np.arange(n))
-    out = _mha(q, k, v, cfg.heads, rel_bias, capture)
-    return add(out, q)  # Q kept as a residual
+        pe = _ape_rows(w, cfg, n)
+        q = add(q, avg_pool1d(_halo_pad(pe, cfg), cfg.window_len, cfg.stride))
+        k = add(k, pe)
+    # a query sits at its window start in true (unpadded) coordinates
+    bias = _relative_bias(w, cfg, q.shape[1], n, cfg.stride, -cfg.halo)
+    return add(_mha(q, k, v, cfg.heads, bias, capture), q)  # Q kept as a residual
 
 
 def _vit_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
-    b, n, d = x_norm.shape
-    q, k, v = (conv1d(x_norm, c) for c in (w.conv_q, w.conv_k, w.conv_v))
-    if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
-        rows = _ape_rows(w, cfg, n)
-        q, k = add(q, rows), add(k, rows)
-    rel_bias = None
-    if cfg.pos_encoding == PE_RELATIVE:
-        rel_bias = _relative_bias(w, cfg, np.arange(n), np.arange(n))
-    return _mha(q, k, v, cfg.heads, rel_bias, capture)
+    n = x_norm.shape[1]
+    q, k, v = _pointwise_qkv(x_norm, cfg, w)
+    return _mha(q, k, v, cfg.heads, _relative_bias(w, cfg, n, n), capture)
 
 
 def _swin_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
@@ -287,25 +294,10 @@ def _swin_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | No
     win = min(cfg.window_len, n)
     if n % win:
         raise ConfigError(f"sequence length {n} not divisible by attention window {win}")
-    heads, dh = cfg.heads, cfg.head_dim
-    q, k, v = (conv1d(x_norm, c) for c in (w.conv_q, w.conv_k, w.conv_v))
-    if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
-        rows = _ape_rows(w, cfg, n)
-        q, k = add(q, rows), add(k, rows)
-    nw = n // win
-    def to_windows(t):
-        return transpose(reshape(t, (b, nw, win, heads, dh)), (0, 1, 3, 2, 4))
-    qw, kw, vw = to_windows(q), to_windows(k), to_windows(v)
-    scores = mul(matmul(qw, transpose(kw, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(dh))
-    if cfg.pos_encoding == PE_RELATIVE:
-        bias = _relative_bias(w, cfg, np.arange(win), np.arange(win))
-        scores = add(scores, reshape(bias, (1, 1, 1, win, win)))
-    attn = softmax(scores, axis=-1)
-    if capture is not None:
-        capture.setdefault("attn", []).append(attn.data)
-    ow = matmul(attn, vw)  # [B, nw, H, win, Dh]
-    o = reshape(transpose(ow, (0, 1, 3, 2, 4)), (b, n, d))
-    return avg_pool1d(o, cfg.stride, cfg.stride)
+    # each non-overlapping window attends within itself, as one batch row
+    q, k, v = (reshape(t, (b * (n // win), win, d)) for t in _pointwise_qkv(x_norm, cfg, w))
+    o = _mha(q, k, v, cfg.heads, _relative_bias(w, cfg, win, win), capture)
+    return avg_pool1d(reshape(o, (b, n, d)), cfg.stride, cfg.stride)
 
 
 def _local_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
@@ -313,34 +305,27 @@ def _local_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | N
     l, s = cfg.window_len, cfg.stride
     heads, dh = cfg.heads, cfg.head_dim
     window_count(n, l, s, cfg.halving)  # shape validation
-    xp = pad_axis(x_norm, 1, cfg.halo, cfg.halo) if cfg.halo else x_norm
-    xw = unfold_windows(xp, l, s)  # [B, M, l, D]
+    xw = unfold_windows(_halo_pad(x_norm, cfg), l, s)  # [B, M, l, D]
     m = xw.shape[1]
     q = tmean(xw, axis=2)  # mean of raw window embeddings
     kw = xw
     if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
-        pe = _halo_ape_rows(w, cfg, n)
+        pe = _halo_pad(_ape_rows(w, cfg, n), cfg)
         q = add(q, avg_pool1d(pe, l, s))  # per-window mean of the encodings
         kw = add(kw, unfold_windows(pe, l, s))
-    qh = reshape(q, (b, m, heads, 1, dh))
     def heads_of(t):
         return transpose(reshape(t, (b, m, l, heads, dh)), (0, 1, 3, 2, 4))
-    kh, vh = heads_of(kw), heads_of(xw)
-    scores = mul(matmul(qh, transpose(kh, (0, 1, 2, 4, 3))), 1.0 / np.sqrt(dh))
-    if cfg.pos_encoding == PE_RELATIVE:
-        bias = _relative_bias(w, cfg, np.zeros(1, dtype=int), np.arange(l))
-        scores = add(scores, reshape(bias, (1, 1, 1, 1, l)))
-    attn = softmax(scores, axis=-1)
-    if capture is not None:
-        capture.setdefault("attn", []).append(attn.data)
-    o = reshape(matmul(attn, vh), (b, m, d))
-    return add(o, q)
+    # the one query of each window needs no transpose to sit beside its keys
+    o = _attend(reshape(q, (b, m, heads, 1, dh)), heads_of(kw), heads_of(xw),
+                _relative_bias(w, cfg, 1, l), capture)
+    return add(reshape(o, (b, m, d)), q)
 
 
 _CORES = {
     VARIANT_LGA: _lga_core,
     VARIANT_VIT: _vit_core,
     VARIANT_SWIN: _swin_core,
+    VARIANT_GLOBAL_QKV: _lga_core,
     VARIANT_LOCAL_QKV: _local_core,
 }
 
@@ -348,9 +333,6 @@ _CORES = {
 def attention_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights,
                    capture: dict | None = None) -> Tensor:
     """Dispatch the configured variant on an already-normalized input."""
-    if cfg.variant == VARIANT_GLOBAL_QKV:
-        # queries built exactly like keys/values, then pooled: window == stride
-        return _lga_core(x_norm, replace(cfg, window_len=cfg.stride), w, capture)
     try:
         core = _CORES[cfg.variant]
     except KeyError:

@@ -174,10 +174,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_once(cfg: RunConfig, records, out_dir: Path, verbose: bool):
-    tr, val, dev = split_by_patient(records, cfg.split, require_nonempty=True)
+def cmd_train(args) -> int:
+    cfg = _apply_overrides(load_run_config(args.config), args)
+    tr, val, _dev = split_by_patient(_load_records(cfg.dataset), cfg.split, require_nonempty=True)
     model = Model(cfg.model, seed=cfg.train.seed)
-    log = train(model, tr, val, cfg.train, verbose=verbose)
+    log = train(model, tr, val, cfg.train, verbose=args.verbose)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save(out_dir / "weights.lgaw")
     write_log_csv(log, out_dir / "training_log.csv")
@@ -188,13 +190,6 @@ def _train_once(cfg: RunConfig, records, out_dir: Path, verbose: bool):
     with open(out_dir / "effective_config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return model, log, report, dev
-
-
-def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
-    records = _load_records(cfg.dataset)
-    model, log, report, _dev = _train_once(cfg, records, Path(args.out), args.verbose)
     print(f"trained {len(log)} epochs, {model.count_parameters()} parameters, "
           f"final val macro-F1 {report.macro_f1:.4f}")
     print(f"artifacts in {args.out}")

@@ -11,6 +11,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .model import ModelConfig
 from .tensor import Tensor, _read_exact
 
 DATASET_MAGIC = b"LGAE"
@@ -156,9 +157,9 @@ def _gaussian_bump(length: int, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * ((t - center) / width) ** 2)
 
 
-def synth_dataset(n: int, num_classes: int = 6, seed: int = 0, leads: int = 12,
-                  length: int = 4096, labels_per_record: int | None = None,
-                  noise: float = 0.05) -> list[EcgRecord]:
+def synth_dataset(n: int, num_classes: int = ModelConfig.num_classes, seed: int = 0,
+                  leads: int = ModelConfig.leads, length: int = ModelConfig.input_len,
+                  labels_per_record: int | None = None, noise: float = 0.05) -> list[EcgRecord]:
     """Deterministic beat-train generator with one injected signature per class.
 
     Class effects on the periodic Gaussian-bump baseline:

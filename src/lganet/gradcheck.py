@@ -206,9 +206,7 @@ def model_check(config: ModelConfig | None = None, seed: int = 0,
     return max_rel_error(lambda: bce_loss(model.forward(x), y), inputs, eps)
 
 
-def run_all(seed: int = 0, tol: float = DEFAULT_TOL, include_model: bool = True,
-            model_config: ModelConfig | None = None) -> list[CheckResult]:
+def run_all(seed: int = 0, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     results = [CheckResult(name, run(), tol) for name, run in op_checks(seed)]
-    if include_model:
-        results.append(CheckResult("model_end_to_end", model_check(model_config, seed), tol))
+    results.append(CheckResult("model_end_to_end", model_check(seed=seed), tol))
     return results

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lganet import attention as A
 from lganet.errors import ConfigError, ShapeError
-from lganet.gradcheck import max_rel_error
+from lganet.gradcheck import _weighted_sum, max_rel_error
 from lganet.ops import layer_norm
 from lganet.tensor import Tensor, tsum
 
@@ -337,13 +337,21 @@ def test_head_count_extremes_run_and_gradcheck(heads):
     assert err <= 1e-3
 
 
-def test_full_lga_gradient_check():
-    cfg = A.LgaConfig(embed_dim=4, heads=2, window_len=4, stride=2)
+@pytest.mark.parametrize("variant", A.VARIANTS)
+@pytest.mark.parametrize("pe", A.POS_ENCODINGS)
+def test_full_lga_gradient_check(variant, pe):
+    cfg = A.LgaConfig(embed_dim=4, heads=2, window_len=4, stride=2,
+                      variant=variant, pos_encoding=pe, max_len=8)
     w = make_weights(cfg, seed=17)
+    # nonzero tables, so the encoding and score-bias gradients are exercised
+    if w.ape is not None:
+        w.ape.data[:] = np.random.default_rng(18).uniform(-0.5, 0.5, w.ape.shape)
+    if w.rel is not None:
+        w.rel.data[:] = np.random.default_rng(19).uniform(-0.5, 0.5, w.rel.shape)
     x = Tensor(np.random.default_rng(14).uniform(-1, 1, (2, 8, 4)),
                requires_grad=True, **R64)
     inputs = [x] + list(w.parameters("w").values())
-    err = max_rel_error(lambda: tsum(A.attention_variant(x, cfg, w)), inputs)
+    err = max_rel_error(lambda: _weighted_sum(A.attention_variant(x, cfg, w)), inputs)
     assert err <= 1e-3
 
 
