@@ -44,7 +44,7 @@ from .errors import (  # noqa: E402
     NumericsError,
     ShapeError,
 )
-from .model import BlockSpec, Model, ModelConfig, ResBlockSpec, count_parameters  # noqa: E402
+from .model import Model, ModelConfig, count_parameters  # noqa: E402
 from .tensor import Tensor, no_grad, read_weights, write_weights  # noqa: E402
 from .training import (  # noqa: E402
     EarlyStopping,
@@ -60,12 +60,12 @@ from .training import (  # noqa: E402
 )
 
 __all__ = [
-    "BlockSpec", "ConfigError", "EarlyStopping", "EcgRecord", "FormatError",
-    "GraphError", "LgaConfig", "LgaWeights", "LganetError", "MetricsReport",
-    "Model", "ModelConfig", "NumericsError", "OptimState", "POS_ENCODINGS",
-    "ResBlockSpec", "ScheduleSpec", "ShapeError", "SplitSpec", "Tensor",
-    "TrainSpec", "VARIANTS", "adamw_step", "attention_variant", "batches",
-    "bce_loss", "cosine_lr", "count_parameters", "evaluate", "global_kv",
+    "ConfigError", "EarlyStopping", "EcgRecord", "FormatError", "GraphError",
+    "LgaConfig", "LgaWeights", "LganetError", "MetricsReport", "Model",
+    "ModelConfig", "NumericsError", "OptimState", "POS_ENCODINGS",
+    "ScheduleSpec", "ShapeError", "SplitSpec", "Tensor", "TrainSpec",
+    "VARIANTS", "adamw_step", "attention_variant", "batches", "bce_loss",
+    "cosine_lr", "count_parameters", "evaluate", "global_kv",
     "local_queries", "no_grad", "read_dataset", "read_weights",
     "split_by_patient", "synth_dataset", "train", "window_count",
     "write_dataset", "write_weights",

@@ -86,7 +86,7 @@ def _fields_of(cls, section: str, owner: tuple, names=None, skip=()) -> list[_Fi
 _FIELDS = (
     _fields_of(TrainSpec, "", ("train",), ["seed"])
     + _fields_of(ModelConfig, "", ("model",), ["precision"])
-    + _fields_of(ModelConfig, "model", ("model",), [k for k in ModelConfig.KNOBS if k != "precision"])
+    + _fields_of(ModelConfig, "model", ("model",), skip=("precision",))
     + _fields_of(ScheduleSpec, "train", ("train", "schedule"))
     + _fields_of(TrainSpec, "train", ("train",), skip=("schedule", "seed", "stop_macro_f1"))
     + _fields_of(SplitSpec, "split", ("split",))

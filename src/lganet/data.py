@@ -64,31 +64,39 @@ def write_dataset(records: Sequence[EcgRecord], path, sample_rate: int = DEFAULT
         k = records[0].labels.shape[0]
     else:
         c = n = k = 0
+    for i, rec in enumerate(records):  # before opening, so a bad record leaves the file alone
+        if rec.signal.shape != (c, n) or rec.labels.shape != (k,):
+            raise FormatError(f"record {i} shape differs from header ({c}, {n}, K={k})")
+        if not 0 <= rec.patient_id < 1 << 64:
+            raise FormatError(f"record {i} patient id {rec.patient_id} does not fit in u64")
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIIII", DATASET_VERSION, len(records), c, n, k, sample_rate))
-        for i, rec in enumerate(records):
-            if rec.signal.shape != (c, n) or rec.labels.shape != (k,):
-                raise FormatError(f"record {i} shape differs from header ({c}, {n}, K={k})")
+        for rec in records:
             fh.write(struct.pack("<Q", rec.patient_id))
             fh.write(rec.labels.astype(np.uint8).tobytes())
             fh.write(np.ascontiguousarray(rec.signal, dtype="<f4").tobytes())
+
+
+def _read_header(fh) -> dict:
+    """Read and check the 28-byte LGAE header at the start of an open file."""
+    magic = _read_exact(fh, 4, 0, "magic")
+    if magic != DATASET_MAGIC:
+        raise FormatError(f"bad magic {magic!r} at byte 0, expected {DATASET_MAGIC!r}")
+    version, count, c, n, k, rate = struct.unpack("<IIIIII", _read_exact(fh, 24, 4, "header"))
+    if version != DATASET_VERSION:
+        raise FormatError(f"unsupported dataset version {version} at byte 4")
+    return {"version": version, "records": count, "leads": c, "length": n,
+            "classes": k, "sample_rate_hz": rate}
 
 
 def read_dataset(path) -> list[EcgRecord]:
     """Read an LGAE file back; raises FormatError with a byte offset on corruption."""
     records: list[EcgRecord] = []
     with open(path, "rb") as fh:
-        offset = 0
-        magic = _read_exact(fh, 4, offset, "magic")
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at byte 0, expected {DATASET_MAGIC!r}")
-        offset += 4
-        version, count, c, n, k, _rate = struct.unpack(
-            "<IIIIII", _read_exact(fh, 24, offset, "header"))
-        if version != DATASET_VERSION:
-            raise FormatError(f"unsupported dataset version {version} at byte {offset}")
-        offset += 24
+        head = _read_header(fh)
+        count, c, n, k = head["records"], head["leads"], head["length"], head["classes"]
+        offset = 28
         sig_bytes = 4 * c * n
         for i in range(count):
             (patient,) = struct.unpack("<Q", _read_exact(fh, 8, offset, f"record {i} patient id"))
@@ -108,12 +116,7 @@ def read_dataset(path) -> list[EcgRecord]:
 
 def read_dataset_header(path) -> dict:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, 0, "magic")
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at byte 0, expected {DATASET_MAGIC!r}")
-        version, count, c, n, k, rate = struct.unpack("<IIIIII", _read_exact(fh, 24, 4, "header"))
-    return {"version": version, "records": count, "leads": c, "length": n,
-            "classes": k, "sample_rate_hz": rate}
+        return _read_header(fh)
 
 
 def _apportion(total: int, fractions: Sequence[float]) -> list[int]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -23,45 +23,13 @@ from .ops import (
 from .tensor import Tensor, add, read_weights, resolve_dtype, tmean, transpose, write_weights
 
 FRONT_BLOCKS = 4
-
-
-@dataclass
-class ResBlockSpec:
-    """Geometry of one front-end residual block (conv-conv-skip, then halving pool)."""
-
-    in_channels: int
-    out_channels: int
-    kernel: int = 7
-    pool_stride: int = 2
-
-    def validate(self) -> None:
-        if self.pool_stride < 1:
-            raise ConfigError(f"pool stride must be >= 1, got {self.pool_stride}")
-        if self.kernel % 2 == 0:
-            raise ConfigError(f"front-end conv kernel must be odd, got {self.kernel}")
-
-
-@dataclass
-class BlockSpec:
-    """One attention stage: layer config plus its widening MLP."""
-
-    stage: int  # 1-based
-    lga: LgaConfig
-    d_base: int
-    mlp_hidden: int
-
-    def validate(self) -> None:
-        if self.mlp_hidden != self.d_base * 2 * self.stage:
-            raise ConfigError(
-                f"stage {self.stage}: mlp_hidden {self.mlp_hidden} != d_base*2*stage = {self.d_base * 2 * self.stage}"
-            )
-        self.lga.validate()
+FRONT_KERNEL = 7
+FRONT_POOL = 2
 
 
 @dataclass
 class ModelConfig:
-    """Architecture knobs plus the per-block specs derived from them on construction,
-    so ``dataclasses.replace`` re-derives the specs from the new knobs."""
+    """Architecture knobs; `Model` derives every block's geometry from them."""
 
     leads: int = 12
     input_len: int = 4096
@@ -76,39 +44,24 @@ class ModelConfig:
     variant: str = LgaConfig.variant
     pos_encoding: str = LgaConfig.pos_encoding
     precision: str = "f32"
-    front_end: tuple[ResBlockSpec, ...] = field(init=False)
-    blocks: tuple[BlockSpec, ...] = field(init=False)
-
-    KNOBS = ("leads", "input_len", "embed_dim", "heads", "num_stages", "num_classes",
-             "window_len", "stride", "query_kernel", "kv_kernel", "variant",
-             "pos_encoding", "precision")
 
     @classmethod
     def create(cls, **knobs) -> "ModelConfig":
-        unknown = set(knobs) - set(cls.KNOBS)
+        unknown = set(knobs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown model config fields: {sorted(unknown)}")
         cfg = cls(**knobs)
         cfg.validate()
         return cfg
 
-    def __post_init__(self) -> None:
-        d = self.embed_dim
-        chans = [self.leads] + [max(1, d >> (FRONT_BLOCKS - 1 - j)) for j in range(FRONT_BLOCKS)]
-        self.front_end = tuple(ResBlockSpec(a, b) for a, b in zip(chans[:-1], chans[1:]))
-        d_base = d // 4
-        n1 = self.input_len // (1 << FRONT_BLOCKS)
-        blocks = []
-        for i in range(1, self.num_stages + 1):
-            stage_len = n1 >> (i - 1)
-            lga = LgaConfig(
-                embed_dim=d, heads=self.heads, window_len=self.window_len,
-                stride=self.stride, query_kernel=self.query_kernel,
-                kv_kernel=self.kv_kernel, variant=self.variant,
-                pos_encoding=self.pos_encoding, max_len=max(stage_len, 1),
-            )
-            blocks.append(BlockSpec(i, lga, d_base, d_base * 2 * i))
-        self.blocks = tuple(blocks)
+    def stage_config(self, i: int) -> LgaConfig:
+        """Attention config of 1-based stage i; the positional capacity is its input length."""
+        return LgaConfig(
+            embed_dim=self.embed_dim, heads=self.heads, window_len=self.window_len,
+            stride=self.stride, query_kernel=self.query_kernel, kv_kernel=self.kv_kernel,
+            variant=self.variant, pos_encoding=self.pos_encoding,
+            max_len=self.input_len >> (FRONT_BLOCKS + i - 1),
+        )
 
     def validate(self) -> None:
         down = 1 << (FRONT_BLOCKS + self.num_stages)
@@ -125,13 +78,10 @@ class ModelConfig:
             resolve_dtype(self.precision)
         except Exception:
             raise ConfigError(f"precision must be 'f32' or 'f64', got {self.precision!r}") from None
-        for spec in self.front_end:
-            spec.validate()
-        for spec in self.blocks:
-            spec.validate()
+        self.stage_config(1).validate()  # the stages differ only in max_len, always >= 1 here
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.KNOBS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ModelConfig":
@@ -145,23 +95,19 @@ class ModelConfig:
 class ResBlock:
     """conv(k) -> ReLU -> conv(k) -> add skip -> ReLU -> halving max pool, on [B, L, C]."""
 
-    def __init__(self, spec: ResBlockSpec, rng: np.random.Generator, dtype):
-        spec.validate()
-        self.spec = spec
-        pad = spec.kernel // 2
-        self.conv1 = Conv1dParams.create(spec.in_channels, spec.out_channels, spec.kernel,
-                                         1, pad, rng, dtype)
-        self.conv2 = Conv1dParams.create(spec.out_channels, spec.out_channels, spec.kernel,
-                                         1, pad, rng, dtype)
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator, dtype):
+        pad = FRONT_KERNEL // 2
+        self.conv1 = Conv1dParams.create(in_channels, out_channels, FRONT_KERNEL, 1, pad, rng, dtype)
+        self.conv2 = Conv1dParams.create(out_channels, out_channels, FRONT_KERNEL, 1, pad, rng, dtype)
         self.skip = None
-        if spec.in_channels != spec.out_channels:
-            self.skip = Conv1dParams.create(spec.in_channels, spec.out_channels, 1, 1, 0, rng, dtype)
+        if in_channels != out_channels:
+            self.skip = Conv1dParams.create(in_channels, out_channels, 1, 1, 0, rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         h = conv1d(relu(conv1d(x, self.conv1)), self.conv2)
         s = x if self.skip is None else conv1d(x, self.skip)
         h = relu(add(h, s))
-        return max_pool1d(h, self.spec.pool_stride, self.spec.pool_stride)
+        return max_pool1d(h, FRONT_POOL, FRONT_POOL)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         out = {
@@ -177,29 +123,28 @@ class ResBlock:
 class TransformerBlock:
     """Attention with pooled 1x1-conv residual path, then a stage-widened MLP."""
 
-    def __init__(self, spec: BlockSpec, rng: np.random.Generator, dtype):
-        spec.validate()
-        self.spec = spec
-        d = spec.lga.embed_dim
-        self.attn = LgaWeights.create(spec.lga, rng, dtype)
+    def __init__(self, lga: LgaConfig, mlp_hidden: int, rng: np.random.Generator, dtype):
+        self.lga = lga
+        d = lga.embed_dim
+        self.attn = LgaWeights.create(lga, rng, dtype)
         self.res_conv = Conv1dParams.create(d, d, 1, 1, 0, rng, dtype)
         self.reduce = None
-        if spec.lga.variant == VARIANT_VIT:
+        if lga.variant == VARIANT_VIT:
             # full-length attention output needs the same pooled reduction
             self.reduce = Conv1dParams.create(d, d, 1, 1, 0, rng, dtype)
         self.norm2 = LayerNormParams.create(d, dtype)
-        self.w1, self.b1 = linear_params(d, spec.mlp_hidden, rng, dtype)
-        self.w2, self.b2 = linear_params(spec.mlp_hidden, d, rng, dtype)
+        self.w1, self.b1 = linear_params(d, mlp_hidden, rng, dtype)
+        self.w2, self.b2 = linear_params(mlp_hidden, d, rng, dtype)
 
     def _pool_reduce(self, t: Tensor, conv: Conv1dParams) -> Tensor:
-        s = self.spec.lga.stride
+        s = self.lga.stride
         return conv1d(max_pool1d(t, s, s), conv)
 
     def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
-        if x.shape[1] % self.spec.lga.stride:
+        if x.shape[1] % self.lga.stride:
             raise ConfigError(f"block input length {x.shape[1]} not divisible by stride")
         x_norm = layer_norm(x, self.attn.norm)
-        y = attention_core(x_norm, self.spec.lga, self.attn, capture)
+        y = attention_core(x_norm, self.lga, self.attn, capture)
         if self.reduce is not None:
             y = self._pool_reduce(y, self.reduce)
         z = add(y, self._pool_reduce(x_norm, self.res_conv))
@@ -230,9 +175,13 @@ class Model:
         self.config = config
         self.dtype = config.dtype
         rng = np.random.default_rng(seed)
-        self.res_blocks = [ResBlock(s, rng, self.dtype) for s in config.front_end]
-        self.blocks = [TransformerBlock(s, rng, self.dtype) for s in config.blocks]
-        self.head_w, self.head_b = linear_params(config.embed_dim, config.num_classes, rng, self.dtype)
+        d = config.embed_dim
+        # leads -> D/8 -> D/4 -> D/2 -> D; stage i's MLP is (D/4) * 2i wide
+        chans = [config.leads] + [max(1, d >> (FRONT_BLOCKS - 1 - j)) for j in range(FRONT_BLOCKS)]
+        self.res_blocks = [ResBlock(a, b, rng, self.dtype) for a, b in zip(chans, chans[1:])]
+        self.blocks = [TransformerBlock(config.stage_config(i), d // 4 * 2 * i, rng, self.dtype)
+                       for i in range(1, config.num_stages + 1)]
+        self.head_w, self.head_b = linear_params(d, config.num_classes, rng, self.dtype)
 
     def front_end(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[1] != self.config.leads or x.shape[2] != self.config.input_len:

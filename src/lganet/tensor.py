@@ -509,22 +509,25 @@ WEIGHTS_VERSION = 1
 
 def write_weights(path, tensors: Mapping[str, "Tensor | np.ndarray"]) -> None:
     """Write named tensors as little-endian binary, values stored as float32."""
+    entries = []
+    for name in sorted(tensors):  # before opening, so a bad entry leaves the file alone
+        arr = tensors[name]
+        data = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
+        raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise FormatError(f"tensor name too long: {name!r}")
+        if data.ndim > 0xFF:
+            raise FormatError(f"tensor rank {data.ndim} exceeds format limit")
+        entries.append((raw, np.asarray(data, dtype="<f4")))
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", WEIGHTS_VERSION, len(tensors)))
-        for name in sorted(tensors):
-            arr = tensors[name]
-            data = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
-            raw = name.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise FormatError(f"tensor name too long: {name!r}")
-            if data.ndim > 0xFF:
-                raise FormatError(f"tensor rank {data.ndim} exceeds format limit")
+        fh.write(struct.pack("<II", WEIGHTS_VERSION, len(entries)))
+        for raw, data in entries:
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<B", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+            fh.write(data.tobytes())
 
 
 def _read_exact(fh, n: int, offset: int, what: str) -> bytes:

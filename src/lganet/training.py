@@ -66,6 +66,11 @@ class TrainSpec:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     """First/second moments per parameter plus the shared step counter."""
@@ -73,9 +78,6 @@ class OptimState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = TrainSpec.weight_decay
 
     @classmethod
@@ -91,8 +93,8 @@ class OptimState:
 def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
     """One update; weight decay is applied directly to the weights (decoupled)."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -103,11 +105,11 @@ def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
             p.data -= lr * state.weight_decay * p.data
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.grad = None
 
 

@@ -56,6 +56,32 @@ def test_corrupted_magic_names_offset_zero(tmp_path):
     assert "byte 0" in str(exc.value)
 
 
+def test_unsupported_version_rejected_by_both_readers(tmp_path):
+    path = tmp_path / "v2.lgae"
+    D.write_dataset(random_records(1, np.random.default_rng(1)), path)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    for reader in (D.read_dataset, D.read_dataset_header):
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert "version 2 at byte 4" in str(exc.value)
+
+
+def test_failed_write_leaves_existing_file_alone(tmp_path):
+    path = tmp_path / "d.lgae"
+    D.write_dataset(random_records(3, np.random.default_rng(7)), path)
+    before = path.read_bytes()
+    bad_shape = random_records(3, np.random.default_rng(8))
+    bad_shape[2] = random_records(1, np.random.default_rng(9), length=8)[0]
+    bad_id = random_records(3, np.random.default_rng(8))
+    bad_id[2].patient_id = -1
+    for records, match in ((bad_shape, "record 2 shape"), (bad_id, "record 2 patient id")):
+        with pytest.raises(FormatError, match=match):
+            D.write_dataset(records, path)
+        assert path.read_bytes() == before
+
+
 def test_truncated_record_reports_offset(tmp_path):
     path = tmp_path / "trunc.lgae"
     D.write_dataset(random_records(2, np.random.default_rng(2)), path)

@@ -8,7 +8,7 @@ import pytest
 from lganet import attention as A
 from lganet.errors import ConfigError
 from lganet.gradcheck import MINI_CONFIG, model_check
-from lganet.model import Model, ModelConfig, ResBlock, ResBlockSpec, count_parameters
+from lganet.model import Model, ModelConfig, ResBlock, count_parameters
 from lganet.ops import layer_norm, linear_params, max_pool1d, relu
 from lganet.tensor import Tensor, concatenate, read_weights
 
@@ -37,14 +37,13 @@ def test_front_end_reduces_by_sixteen():
 
 def test_replace_rederives_block_specs():
     cfg = replace(ModelConfig.create(**TINY), window_len=8)
-    assert [s.lga.window_len for s in cfg.blocks] == [8, 8]
-    assert [b.spec.lga.window_len for b in Model(cfg).blocks] == [8, 8]
+    assert [cfg.stage_config(i).window_len for i in (1, 2)] == [8, 8]
+    assert [b.lga.window_len for b in Model(cfg).blocks] == [8, 8]
 
 
 def test_resblock_zero_weights_identity_skip():
-    spec = ResBlockSpec(3, 3)
     rng = np.random.default_rng(0)
-    blk = ResBlock(spec, rng, np.float64)
+    blk = ResBlock(3, 3, rng, np.float64)
     for conv in (blk.conv1, blk.conv2):
         conv.weight.data[:] = 0.0
         conv.bias.data[:] = 0.0
@@ -82,9 +81,63 @@ def test_block_dead_path_reduces_to_pooled_norm():
 
 
 def test_mlp_width_schedule():
-    cfg = ModelConfig.create(embed_dim=128)
-    assert [b.mlp_hidden for b in cfg.blocks] == [64, 128, 192, 256]
-    assert cfg.blocks[2].mlp_hidden == 32 * 2 * 3  # d_base=32, stage 3 -> 192
+    blocks = Model(ModelConfig.create(embed_dim=128)).blocks
+    assert [b.w1.shape[1] for b in blocks] == [64, 128, 192, 256]
+    assert blocks[2].w1.shape[1] == 32 * 2 * 3  # d_base=32, stage 3 -> 192
+
+
+# Weight-file layout of the MINI_CONFIG model (2 leads, D=8, 2 stages, 3 classes):
+# the parts every variant has, then the attention projections per variant.
+_MINI_COMMON = {
+    "front1.conv1.weight": (1, 2, 7), "front1.conv1.bias": (1,),
+    "front1.conv2.weight": (1, 1, 7), "front1.conv2.bias": (1,),
+    "front1.skip.weight": (1, 2, 1), "front1.skip.bias": (1,),
+    "front2.conv1.weight": (2, 1, 7), "front2.conv1.bias": (2,),
+    "front2.conv2.weight": (2, 2, 7), "front2.conv2.bias": (2,),
+    "front2.skip.weight": (2, 1, 1), "front2.skip.bias": (2,),
+    "front3.conv1.weight": (4, 2, 7), "front3.conv1.bias": (4,),
+    "front3.conv2.weight": (4, 4, 7), "front3.conv2.bias": (4,),
+    "front3.skip.weight": (4, 2, 1), "front3.skip.bias": (4,),
+    "front4.conv1.weight": (8, 4, 7), "front4.conv1.bias": (8,),
+    "front4.conv2.weight": (8, 8, 7), "front4.conv2.bias": (8,),
+    "front4.skip.weight": (8, 4, 1), "front4.skip.bias": (8,),
+    "stage1.attn.norm.gamma": (8,), "stage1.attn.norm.beta": (8,),
+    "stage1.res.weight": (8, 8, 1), "stage1.res.bias": (8,),
+    "stage1.norm2.gamma": (8,), "stage1.norm2.beta": (8,),
+    "stage1.mlp.w1": (8, 4), "stage1.mlp.b1": (4,), "stage1.mlp.w2": (4, 8), "stage1.mlp.b2": (8,),
+    "stage2.attn.norm.gamma": (8,), "stage2.attn.norm.beta": (8,),
+    "stage2.res.weight": (8, 8, 1), "stage2.res.bias": (8,),
+    "stage2.norm2.gamma": (8,), "stage2.norm2.beta": (8,),
+    "stage2.mlp.w1": (8, 8), "stage2.mlp.b1": (8,), "stage2.mlp.w2": (8, 8), "stage2.mlp.b2": (8,),
+    "head.weight": (8, 3), "head.bias": (3,),
+}
+
+
+def _qkv(kernel):
+    return {f"stage{i}.attn.conv_{p}.{w}": (8, 8, kernel) if w == "weight" else (8,)
+            for i in (1, 2) for p in "qkv" for w in ("weight", "bias")}
+
+
+_VIT_REDUCE = {"stage1.reduce.weight": (8, 8, 1), "stage1.reduce.bias": (8,),
+               "stage2.reduce.weight": (8, 8, 1), "stage2.reduce.bias": (8,)}
+
+
+@pytest.mark.parametrize("variant,layout,tensors,values", [
+    (A.VARIANT_LGA, {**_MINI_COMMON, **_qkv(3)}, 58, 2647),
+    (A.VARIANT_VIT, {**_MINI_COMMON, **_qkv(1), **_VIT_REDUCE}, 62, 2023),
+    (A.VARIANT_SWIN, {**_MINI_COMMON, **_qkv(1)}, 58, 1879),
+    (A.VARIANT_GLOBAL_QKV, {**_MINI_COMMON, **_qkv(3)}, 58, 2647),
+    (A.VARIANT_LOCAL_QKV, _MINI_COMMON, 46, 1447),
+])
+def test_weight_layout_is_pinned(variant, layout, tensors, values):
+    params = Model(ModelConfig.create(**MINI_CONFIG, variant=variant)).parameters()
+    assert sorted((name, t.shape) for name, t in params.items()) == sorted(layout.items())
+    assert len(params) == tensors
+    assert count_parameters(params) == values
+
+
+def test_paper_default_parameter_count():
+    assert Model(ModelConfig.create()).count_parameters() == 1_065_814
 
 
 def test_forward_shape_trace_default_model():

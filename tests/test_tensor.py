@@ -242,6 +242,18 @@ def test_weight_file_layout(tmp_path):
     assert raw[14:15] == b"a"
 
 
+def test_failed_weight_write_leaves_existing_file_alone(tmp_path):
+    path = tmp_path / "w.lgaw"
+    T.write_weights(path, {"a": np.ones(4, dtype=np.float32)})
+    before = path.read_bytes()
+    a = np.zeros(4, dtype=np.float32)
+    for bad, error in (({"a": a, "b" * 0x10000: np.zeros(1)}, FormatError),  # name too long
+                       ({"a": a, "b": np.array(["x"])}, ValueError)):         # not numeric
+        with pytest.raises(error):
+            T.write_weights(path, bad)
+        assert path.read_bytes() == before
+
+
 def test_weight_file_bad_magic(tmp_path):
     path = tmp_path / "w.lgaw"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
