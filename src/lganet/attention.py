@@ -24,6 +24,7 @@ from .ops import Conv1dParams, LayerNormParams, avg_pool1d, conv1d, layer_norm
 from .tensor import (
     Tensor,
     add,
+    concatenate,
     matmul,
     mul,
     narrow,
@@ -238,9 +239,11 @@ def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, reference: bool
     b, n, d = x_norm.shape
     l, s = cfg.window_len, cfg.stride
     m = window_count(n, l, s, cfg.halving)
-    xp = _halo_pad(x_norm, cfg)
     if not reference:
-        return avg_pool1d(conv1d(xp, w.conv_q), l, s)
+        # the conv's own zero padding also supplies the halo
+        conv = replace(w.conv_q, padding=w.conv_q.padding + cfg.halo)
+        return avg_pool1d(conv1d(x_norm, conv), l, s)
+    xp = _halo_pad(x_norm, cfg)
     p_q = w.conv_q.padding
     valid_conv = replace(w.conv_q, padding=0)
     n_pad = xp.shape[1]
@@ -254,8 +257,16 @@ def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, reference: bool
 
 
 def global_kv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Tensor]:
-    """Shape-preserving convolutions over the whole sequence -> (K, V), each [B, N, D]."""
-    return conv1d(x_norm, w.conv_k), conv1d(x_norm, w.conv_v)
+    """Shape-preserving convolutions over the whole sequence -> (K, V), each [B, N, D].
+
+    K and V share one conv with 2·D output channels, so the im2col is built once.
+    """
+    ck, cv = w.conv_k, w.conv_v
+    d = ck.out_channels
+    kv = replace(ck, out_channels=2 * d, weight=concatenate([ck.weight, cv.weight]),
+                 bias=concatenate([ck.bias, cv.bias]))
+    out = conv1d(x_norm, kv)
+    return narrow(out, (..., slice(0, d))), narrow(out, (..., slice(d, None)))
 
 
 def _pointwise_qkv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Tensor, Tensor]:

@@ -71,9 +71,10 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     k, s, pad = p.kernel_size, p.stride, p.padding
     l_out = conv_out_len(length, k, s, pad)
     xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0))) if pad else x.data
-    # im2col: one matmul instead of a loop over output positions
-    cols = _window_view(xp, k, s).reshape(b * l_out, c * k)
-    w2 = p.weight.data.reshape(p.out_channels, c * k)
+    # k-major im2col, one matmul for every output position: in channels-last an
+    # output's k x C patch is contiguous, so rows copy whole; weight read as [out, k, in]
+    cols = _window_view(xp, k, s).swapaxes(2, 3).reshape(b * l_out, k * c)
+    w2 = p.weight.data.transpose(0, 2, 1).reshape(p.out_channels, k * c)
     val = (cols @ w2.T).reshape(b, l_out, p.out_channels)
     val += p.bias.data
     out = _result(val, (x, p.weight, p.bias), "conv1d")
@@ -84,12 +85,13 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
                 p.bias._accumulate(g.sum(axis=(0, 1)))
             g2 = g.reshape(b * l_out, p.out_channels)
             if p.weight.requires_grad:
-                p.weight._accumulate((g2.T @ cols).reshape(p.weight.shape))
+                dw = (g2.T @ cols).reshape(p.out_channels, k, c)
+                p.weight._accumulate(dw.transpose(0, 2, 1))
             if x.requires_grad:
-                dcols = (g2 @ w2).reshape(b, l_out, c, k)
+                dcols = (g2 @ w2).reshape(b, l_out, k, c)
                 gx = np.zeros((b, length + 2 * pad, c), dtype=x.dtype)
                 for j in range(k):
-                    gx[:, j : j + (l_out - 1) * s + 1 : s] += dcols[:, :, :, j]
+                    gx[:, j : j + (l_out - 1) * s + 1 : s] += dcols[:, :, j]
                 x._accumulate(gx[:, pad : pad + length] if pad else gx)
         out._backward = backward
     return out

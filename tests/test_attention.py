@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from lganet import attention as A
 from lganet.errors import ConfigError, ShapeError
 from lganet.gradcheck import _weighted_sum, max_rel_error
-from lganet.ops import layer_norm
-from lganet.tensor import Tensor, tsum
+from lganet.ops import conv1d, layer_norm
+from lganet.tensor import Tensor, stack, tsum
 
 R64 = dict(dtype="f64")
 
@@ -145,6 +145,28 @@ def test_global_kv_matches_loop_conv():
             for t in range(6):
                 expected[n, o, t] = (wk[o] * xc[n, :, t : t + 3]).sum() + bk[o]
     assert np.abs(k.data - expected.transpose(0, 2, 1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", [A.VARIANT_LGA, A.VARIANT_GLOBAL_QKV])
+def test_shared_kv_conv_equals_two_convs(variant):
+    """K and V from the one shared conv match two separate convs, values and gradients."""
+    cfg = A.LgaConfig(embed_dim=4, heads=2, window_len=4, stride=2, variant=variant)
+    x = np.random.default_rng(22).uniform(-1, 1, (2, 8, 4))
+
+    def run(kv_of):
+        w = make_weights(cfg, seed=21)
+        xt = Tensor(x, requires_grad=True, **R64)
+        k, v = kv_of(xt, w)
+        # one random cotangent over both, so K and V get different upstream gradients
+        _weighted_sum(stack([k, v])).backward()
+        return [k.data, v.data, xt.grad] + [t.grad for c in (w.conv_k, w.conv_v)
+                                            for t in (c.weight, c.bias)]
+
+    shared = run(lambda xt, w: A.global_kv(xt, cfg, w))
+    separate = run(lambda xt, w: (conv1d(xt, w.conv_k), conv1d(xt, w.conv_v)))
+    for got, want in zip(shared, separate):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
 
 
 # -- the full layer ------------------------------------------------------------

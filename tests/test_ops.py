@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lganet import ops
 from lganet import tensor as T
 from lganet.errors import ShapeError
-from lganet.gradcheck import max_rel_error
+from lganet.gradcheck import _weighted_sum, max_rel_error
 from lganet.ops import Conv1dParams, LayerNormParams
 from lganet.tensor import Tensor, tsum
 
@@ -234,12 +234,20 @@ def test_sigmoid_gradient_vs_finite_differences():
     assert err <= 1e-4
 
 
-def test_conv_and_pool_gradients():
+# in != k != out with a non-uniform upstream gradient: a weight or input
+# gradient read back as [in, k] where it was built as [k, in] gets wrong values
+@pytest.mark.parametrize("loss,cin,cout,k,stride,padding", [
+    (tsum, 2, 3, 3, 2, 1),
+    (_weighted_sum, 4, 5, 3, 1, 1),
+    (_weighted_sum, 3, 2, 1, 2, 0),
+], ids=["sum-2-3-3-2-1", "weighted-4-5-3-1-1", "weighted-3-2-1-2-0"])
+def test_conv_and_pool_gradients(loss, cin, cout, k, stride, padding):
     rng = np.random.default_rng(4)
-    p = Conv1dParams.create(2, 3, 3, stride=2, padding=1, rng=rng, dtype=np.float64)
-    x = Tensor(cl(rng.uniform(-1, 1, (2, 2, 9))), requires_grad=True, dtype="f64")
-    err = max_rel_error(lambda: tsum(ops.conv1d(x, p)), [x, p.weight, p.bias])
+    p = Conv1dParams.create(cin, cout, k, stride=stride, padding=padding, rng=rng,
+                            dtype=np.float64)
+    x = Tensor(cl(rng.uniform(-1, 1, (2, cin, 9))), requires_grad=True, dtype="f64")
+    err = max_rel_error(lambda: loss(ops.conv1d(x, p)), [x, p.weight, p.bias])
     assert err <= 1e-4
     x2 = Tensor(cl(rng.permutation(24).reshape(2, 2, 6) * 0.1), requires_grad=True, dtype="f64")
-    assert max_rel_error(lambda: tsum(ops.max_pool1d(x2, 2, 2)), [x2]) <= 1e-4
-    assert max_rel_error(lambda: tsum(ops.avg_pool1d(x2, 3, 2)), [x2]) <= 1e-4
+    assert max_rel_error(lambda: loss(ops.max_pool1d(x2, 2, 2)), [x2]) <= 1e-4
+    assert max_rel_error(lambda: loss(ops.avg_pool1d(x2, 3, 2)), [x2]) <= 1e-4
