@@ -106,9 +106,12 @@ def read_dataset(path) -> list[EcgRecord]:
                 raise FormatError(f"record {i} has non-binary labels at byte {offset}")
             offset += k
             raw = _read_exact(fh, sig_bytes, offset, f"record {i} signal")
-            offset += sig_bytes
             signal = np.frombuffer(raw, dtype="<f4").reshape(c, n).astype(np.float32)
-            records.append(EcgRecord(signal, labels.copy(), int(patient)))
+            try:  # EcgRecord's own check of the samples, the one not made above
+                records.append(EcgRecord(signal, labels.copy(), int(patient)))
+            except ConfigError as exc:
+                raise FormatError(f"record {i} signal at byte {offset}: {exc}") from None
+            offset += sig_bytes
         if fh.read(1):
             raise FormatError(f"trailing bytes at byte {offset} after {count} records")
     return records
@@ -226,8 +229,8 @@ def batches(records: Sequence[EcgRecord], batch_size: int, shuffle_seed: int | N
         order = np.random.default_rng(shuffle_seed).permutation(len(records))
     for lo in range(0, len(records), batch_size):
         idx = order[lo : lo + batch_size]
-        sig = np.stack([records[i].signal for i in idx]).astype(dtype)
-        lab = np.stack([records[i].labels for i in idx]).astype(dtype)
+        sig = np.stack([records[i].signal for i in idx]).astype(dtype, copy=False)
+        lab = np.stack([records[i].labels for i in idx]).astype(dtype, copy=False)
         yield Batch(Tensor(sig, dtype=dtype), lab, idx)
 
 

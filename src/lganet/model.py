@@ -54,24 +54,27 @@ class ModelConfig:
         cfg.validate()
         return cfg
 
+    def stage_len(self, i: int) -> int:
+        """Sequence length entering 1-based stage i (i = num_stages + 1: the head)."""
+        return (self.input_len >> FRONT_BLOCKS) // self.stride ** (i - 1)
+
     def stage_config(self, i: int) -> LgaConfig:
         """Attention config of 1-based stage i; the positional capacity is its input length."""
         return LgaConfig(
             embed_dim=self.embed_dim, heads=self.heads, window_len=self.window_len,
             stride=self.stride, query_kernel=self.query_kernel, kv_kernel=self.kv_kernel,
-            variant=self.variant, pos_encoding=self.pos_encoding,
-            max_len=self.input_len >> (FRONT_BLOCKS + i - 1),
+            variant=self.variant, pos_encoding=self.pos_encoding, max_len=self.stage_len(i),
         )
 
     def validate(self) -> None:
-        down = 1 << (FRONT_BLOCKS + self.num_stages)
-        if self.input_len % down or self.input_len // down < 1:
+        if self.leads < 1 or self.num_classes < 1 or self.num_stages < 1 or self.stride < 1:
+            raise ConfigError("leads, num_classes, num_stages and stride must be positive")
+        down = (1 << FRONT_BLOCKS) * self.stride ** self.num_stages
+        if self.input_len % down or self.stage_len(self.num_stages + 1) < 1:
             raise ConfigError(
                 f"input_len {self.input_len} must be a positive multiple of {down} "
-                f"(front-end pools + {self.num_stages} halving stages)"
+                f"(front-end pools + {self.num_stages} stages of stride {self.stride})"
             )
-        if self.leads < 1 or self.num_classes < 1 or self.num_stages < 1:
-            raise ConfigError("leads, num_classes and num_stages must be positive")
         if self.embed_dim % 4:
             raise ConfigError(f"embed_dim must be a multiple of 4, got {self.embed_dim}")
         try:

@@ -1,9 +1,9 @@
 """Neural building blocks: 1-D convolution, pooling, layer norm, linear, activations.
 
-All layers are pure functions of their inputs and parameters and register
-backward closures on their outputs, so they compose freely with the ops in
-``tensor``. Sequences are channels-last, [B, L, C], for every layer: the
-layout of the attention stack, so no op needs a transpose around it.
+All layers are pure functions of their inputs and parameters that hand
+``_result`` their forward value and a ``backward(g)``, so they compose freely
+with the ops in ``tensor``. Sequences are channels-last, [B, L, C], for every
+layer: the layout of the attention stack, so no op needs a transpose around it.
 """
 
 from __future__ import annotations
@@ -77,24 +77,20 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     w2 = p.weight.data.transpose(0, 2, 1).reshape(p.out_channels, k * c)
     val = (cols @ w2.T).reshape(b, l_out, p.out_channels)
     val += p.bias.data
-    out = _result(val, (x, p.weight, p.bias), "conv1d")
-    if out.requires_grad:
-        def backward():
-            g = out.grad  # [B, L_out, C_out]
-            if p.bias.requires_grad:
-                p.bias._accumulate(g.sum(axis=(0, 1)))
-            g2 = g.reshape(b * l_out, p.out_channels)
-            if p.weight.requires_grad:
-                dw = (g2.T @ cols).reshape(p.out_channels, k, c)
-                p.weight._accumulate(dw.transpose(0, 2, 1))
-            if x.requires_grad:
-                dcols = (g2 @ w2).reshape(b, l_out, k, c)
-                gx = np.zeros((b, length + 2 * pad, c), dtype=x.dtype)
-                for j in range(k):
-                    gx[:, j : j + (l_out - 1) * s + 1 : s] += dcols[:, :, j]
-                x._accumulate(gx[:, pad : pad + length] if pad else gx)
-        out._backward = backward
-    return out
+    def backward(g):  # g: [B, L_out, C_out]
+        if p.bias.requires_grad:
+            p.bias._accumulate(g.sum(axis=(0, 1)))
+        g2 = g.reshape(b * l_out, p.out_channels)
+        if p.weight.requires_grad:
+            dw = (g2.T @ cols).reshape(p.out_channels, k, c)
+            p.weight._accumulate(dw.transpose(0, 2, 1))
+        if x.requires_grad:
+            dcols = (g2 @ w2).reshape(b, l_out, k, c)
+            gx = np.zeros((b, length + 2 * pad, c), dtype=x.dtype)
+            for j in range(k):
+                gx[:, j : j + (l_out - 1) * s + 1 : s] += dcols[:, :, j]
+            x._accumulate(gx[:, pad : pad + length] if pad else gx)
+    return _result(val, (x, p.weight, p.bias), "conv1d", backward)
 
 
 @dataclass
@@ -128,22 +124,18 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + p.epsilon)
     xhat = xc * inv
-    out = _result(p.gamma.data * xhat + p.beta.data, (x, p.gamma, p.beta), "layer_norm")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            lead = tuple(range(g.ndim - 1))
-            if p.gamma.requires_grad:
-                p.gamma._accumulate((g * xhat).sum(axis=lead))
-            if p.beta.requires_grad:
-                p.beta._accumulate(g.sum(axis=lead))
-            if x.requires_grad:
-                gh = g * p.gamma.data
-                s1 = gh.sum(axis=-1, keepdims=True)
-                s2 = (gh * xhat).sum(axis=-1, keepdims=True)
-                x._accumulate((inv / d) * (d * gh - s1 - xhat * s2))
-        out._backward = backward
-    return out
+    def backward(g):
+        lead = tuple(range(g.ndim - 1))
+        if p.gamma.requires_grad:
+            p.gamma._accumulate((g * xhat).sum(axis=lead))
+        if p.beta.requires_grad:
+            p.beta._accumulate(g.sum(axis=lead))
+        if x.requires_grad:
+            gh = g * p.gamma.data
+            s1 = gh.sum(axis=-1, keepdims=True)
+            s2 = (gh * xhat).sum(axis=-1, keepdims=True)
+            x._accumulate((inv / d) * (d * gh - s1 - xhat * s2))
+    return _result(p.gamma.data * xhat + p.beta.data, (x, p.gamma, p.beta), "layer_norm", backward)
 
 
 def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
@@ -160,15 +152,12 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         if idx is not None:
             np.copyto(idx, j, where=sl > val)
         np.maximum(val, sl, out=val)
-    out = _result(val, (x,), "max_pool1d")
-    if out.requires_grad:
-        def backward():
-            g = np.zeros_like(x.data)
-            for j in range(kernel):
-                g[:, j : j + span : stride] += np.where(idx == j, out.grad, 0)
-            x._accumulate(g)
-        out._backward = backward
-    return out
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        for j in range(kernel):
+            gx[:, j : j + span : stride] += np.where(idx == j, g, 0)
+        x._accumulate(gx)
+    return _result(val, (x,), "max_pool1d", backward)
 
 
 def avg_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
@@ -181,16 +170,13 @@ def avg_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
     for j in range(1, kernel):
         val += x.data[:, j : j + span : stride]
     val /= kernel
-    out = _result(val, (x,), "avg_pool1d")
-    if out.requires_grad:
-        def backward():
-            share = out.grad / kernel
-            g = np.zeros_like(x.data)
-            for j in range(kernel):
-                g[:, j : j + span : stride] += share
-            x._accumulate(g)
-        out._backward = backward
-    return out
+    def backward(g):
+        share = g / kernel
+        gx = np.zeros_like(x.data)
+        for j in range(kernel):
+            gx[:, j : j + span : stride] += share
+        x._accumulate(gx)
+    return _result(val, (x,), "avg_pool1d", backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -214,12 +200,8 @@ def linear_params(d_in: int, d_out: int, rng: np.random.Generator | None = None,
 
 def relu(x: Tensor) -> Tensor:
     x_t = x if isinstance(x, Tensor) else Tensor(x)
-    out = _result(np.maximum(x_t.data, 0), (x_t,), "relu")
-    if out.requires_grad:
-        def backward():
-            x_t._accumulate(out.grad * (x_t.data > 0))
-        out._backward = backward
-    return out
+    return _result(np.maximum(x_t.data, 0), (x_t,), "relu",
+                   lambda g: x_t._accumulate(g * (x_t.data > 0)))
 
 
 def _sigmoid_np(z: np.ndarray) -> np.ndarray:
@@ -235,9 +217,4 @@ def _sigmoid_np(z: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     x_t = x if isinstance(x, Tensor) else Tensor(x)
     y = _sigmoid_np(x_t.data)
-    out = _result(y, (x_t,), "sigmoid")
-    if out.requires_grad:
-        def backward():
-            x_t._accumulate(out.grad * y * (1.0 - y))
-        out._backward = backward
-    return out
+    return _result(y, (x_t,), "sigmoid", lambda g: x_t._accumulate(g * y * (1.0 - y)))

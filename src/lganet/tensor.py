@@ -1,8 +1,10 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Values are stored in contiguous numpy arrays (float32 for training,
-float64 for gradient checking). Every operation records a backward
-closure on its output; ``Tensor.backward`` replays the closures in
+float64 for gradient checking). An op is its forward value plus a
+``backward(g)`` that accumulates the vector-Jacobian product of the
+cotangent ``g`` into its inputs; ``_result`` alone decides whether to
+record it as a graph node. ``Tensor.backward`` replays the recorded nodes in
 reverse topological order, accumulating gradients additively across
 fan-out. Backward releases the graph as it consumes it: after a node's
 closure runs, the node drops its closure, its parents and (unless it is a
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -195,20 +197,25 @@ def _records(parents: Sequence[Tensor]) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Tensor], op: str,
+            backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The output of ``op`` on ``parents``, and the only code that records a graph
+    node: when ``_records(parents)``, the node's backward runs ``backward(out.grad)``."""
     if not np.all(np.isfinite(data)):
-        raise NumericsError(f"non-finite values produced by op '{op}'")
+        shapes = ", ".join(str(p.shape) for p in parents)
+        raise NumericsError(f"non-finite values produced by op '{op}' on inputs of shape {shapes}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._backward = None
     out._op = op
     if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
+        out._backward = lambda: backward(out.grad)
     else:
         out.requires_grad = False
         out._parents = ()
+        out._backward = None
     return out
 
 
@@ -229,23 +236,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     if not isinstance(b, Tensor):
         a = _as_tensor(a)
-        out = _result(a.data + b, (a,), "add_scalar")
-        if out.requires_grad:
-            def backward():
-                a._accumulate(out.grad)
-            out._backward = backward
-        return out
+        return _result(a.data + b, (a,), "add_scalar", a._accumulate)
     if not isinstance(a, Tensor):
         return add(b, a)
-    out = _result(a.data + b.data, (a, b), "add")
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad, b.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+    return _result(a.data + b.data, (a, b), "add", backward)
 
 
 def sub(a, b) -> Tensor:
@@ -257,23 +256,15 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     if not isinstance(b, Tensor):
         a = _as_tensor(a)
-        out = _result(a.data * b, (a,), "mul_scalar")
-        if out.requires_grad:
-            def backward():
-                a._accumulate(out.grad * b)
-            out._backward = backward
-        return out
+        return _result(a.data * b, (a,), "mul_scalar", lambda g: a._accumulate(g * b))
     if not isinstance(a, Tensor):
         return mul(b, a)
-    out = _result(a.data * b.data, (a, b), "mul")
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
+    return _result(a.data * b.data, (a, b), "mul", backward)
 
 
 # -- contractions ------------------------------------------------------------
@@ -285,18 +276,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out = _result(np.matmul(a.data, b.data), (a, b), "matmul")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            a._accumulate(_unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            b._accumulate(_unbroadcast(gb, b.shape))
+    return _result(np.matmul(a.data, b.data), (a, b), "matmul", backward)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -307,14 +294,10 @@ def softmax(x, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _result(y, (x,), "softmax")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x._accumulate(y * (g - dot))
-        out._backward = backward
-    return out
+    def backward(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        x._accumulate(y * (g - dot))
+    return _result(y, (x,), "softmax", backward)
 
 
 # -- reductions --------------------------------------------------------------
@@ -331,30 +314,23 @@ def _norm_axis(axis, ndim: int):
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     axes = _norm_axis(axis, x.ndim)
-    out = _result(x.data.sum(axis=axes, keepdims=keepdims), (x,), "sum")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if axes is not None and not keepdims:
-                g = np.expand_dims(g, axes)
-            x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
-        out._backward = backward
-    return out
+    def backward(g):
+        if axes is not None and not keepdims:
+            g = np.expand_dims(g, axes)
+        x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
+    return _result(x.data.sum(axis=axes, keepdims=keepdims), (x,), "sum", backward)
 
 
 def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     axes = _norm_axis(axis, x.ndim)
     count = x.size if axes is None else int(np.prod([x.shape[a] for a in axes]))
-    out = _result(x.data.mean(axis=axes, keepdims=keepdims), (x,), "mean")
-    if out.requires_grad:
-        def backward():
-            g = out.grad / count
-            if axes is not None and not keepdims:
-                g = np.expand_dims(g, axes)
-            x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
-        out._backward = backward
-    return out
+    def backward(g):
+        g = g / count
+        if axes is not None and not keepdims:
+            g = np.expand_dims(g, axes)
+        x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
+    return _result(x.data.mean(axis=axes, keepdims=keepdims), (x,), "mean", backward)
 
 
 # -- structural ops ----------------------------------------------------------
@@ -363,36 +339,24 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
 def transpose(x, axes=None) -> Tensor:
     x = _as_tensor(x)
     perm = tuple(axes) if axes is not None else tuple(range(x.ndim))[::-1]
-    out = _result(np.ascontiguousarray(x.data.transpose(perm)), (x,), "transpose")
-    if out.requires_grad:
-        inv = np.argsort(perm)
-        def backward():
-            x._accumulate(out.grad.transpose(inv))
-        out._backward = backward
-    return out
+    return _result(np.ascontiguousarray(x.data.transpose(perm)), (x,), "transpose",
+                   lambda g: x._accumulate(g.transpose(np.argsort(perm))))
 
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
-    out = _result(x.data.reshape(shape), (x,), "reshape")
-    if out.requires_grad:
-        def backward():
-            x._accumulate(out.grad.reshape(x.shape))
-        out._backward = backward
-    return out
+    return _result(x.data.reshape(shape), (x,), "reshape",
+                   lambda g: x._accumulate(g.reshape(x.shape)))
 
 
 def narrow(x, key) -> Tensor:
     """Basic slicing / integer indexing with gradient routing."""
     x = _as_tensor(x)
-    out = _result(np.ascontiguousarray(x.data[key]), (x,), "slice")
-    if out.requires_grad:
-        def backward():
-            g = np.zeros_like(x.data)
-            g[key] += out.grad
-            x._accumulate(g)
-        out._backward = backward
-    return out
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[key] += g
+        x._accumulate(gx)
+    return _result(np.ascontiguousarray(x.data[key]), (x,), "slice", backward)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -400,41 +364,29 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concatenate needs at least one tensor")
     ax = axis % tensors[0].ndim
-    out = _result(np.concatenate([t.data for t in tensors], axis=ax), tensors, "concat")
-    if out.requires_grad:
-        sizes = [t.shape[ax] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def backward():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * out.ndim
-                    sl[ax] = slice(lo, hi)
-                    t._accumulate(out.grad[tuple(sl)])
-        out._backward = backward
-    return out
+    def backward(g):
+        offsets = np.cumsum([0] + [t.shape[ax] for t in tensors])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[ax] = slice(lo, hi)
+                t._accumulate(g[tuple(sl)])
+    return _result(np.concatenate([t.data for t in tensors], axis=ax), tensors, "concat", backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out = _result(np.stack([t.data for t in tensors], axis=axis), tensors, "stack")
-    if out.requires_grad:
-        def backward():
-            pieces = np.moveaxis(out.grad, axis, 0)
-            for t, g in zip(tensors, pieces):
-                if t.requires_grad:
-                    t._accumulate(g)
-        out._backward = backward
-    return out
+    def backward(g):
+        for t, piece in zip(tensors, np.moveaxis(g, axis, 0)):
+            if t.requires_grad:
+                t._accumulate(piece)
+    return _result(np.stack([t.data for t in tensors], axis=axis), tensors, "stack", backward)
 
 
 def broadcast_to(x, shape) -> Tensor:
     x = _as_tensor(x)
-    out = _result(np.ascontiguousarray(np.broadcast_to(x.data, shape)), (x,), "broadcast")
-    if out.requires_grad:
-        def backward():
-            x._accumulate(_unbroadcast(out.grad, x.shape))
-        out._backward = backward
-    return out
+    return _result(np.ascontiguousarray(np.broadcast_to(x.data, shape)), (x,), "broadcast",
+                   lambda g: x._accumulate(_unbroadcast(g, x.shape)))
 
 
 def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
@@ -445,14 +397,11 @@ def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
     widths = [(0, 0)] * x.ndim
     ax = axis % x.ndim
     widths[ax] = (before, after)
-    out = _result(np.pad(x.data, widths), (x,), "pad")
-    if out.requires_grad:
-        def backward():
-            sl = [slice(None)] * x.ndim
-            sl[ax] = slice(before, before + x.shape[ax])
-            x._accumulate(out.grad[tuple(sl)])
-        out._backward = backward
-    return out
+    def backward(g):
+        sl = [slice(None)] * x.ndim
+        sl[ax] = slice(before, before + x.shape[ax])
+        x._accumulate(g[tuple(sl)])
+    return _result(np.pad(x.data, widths), (x,), "pad", backward)
 
 
 def take_rows(table, index: np.ndarray) -> Tensor:
@@ -463,14 +412,11 @@ def take_rows(table, index: np.ndarray) -> Tensor:
         raise ShapeError("take_rows index must be an integer array")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"take_rows index out of range for table of {table.shape[0]} rows")
-    out = _result(table.data[idx], (table,), "take_rows")
-    if out.requires_grad:
-        def backward():
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            table._accumulate(g)
-        out._backward = backward
-    return out
+    def backward(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        table._accumulate(gt)
+    return _result(table.data[idx], (table,), "take_rows", backward)
 
 
 def _window_view(x: np.ndarray, size: int, step: int) -> np.ndarray:
@@ -490,15 +436,12 @@ def unfold_windows(x, size: int, step: int) -> Tensor:
         raise ShapeError(f"sequence length {n} shorter than window {size}")
     m = (n - size) // step + 1
     view = _window_view(x.data, size, step)
-    out = _result(np.ascontiguousarray(view.transpose(0, 1, 3, 2)), (x,), "unfold")
-    if out.requires_grad:
-        def backward():
-            g = np.zeros_like(x.data)
-            for j in range(size):
-                g[:, j : j + (m - 1) * step + 1 : step] += out.grad[:, :, j]
-            x._accumulate(g)
-        out._backward = backward
-    return out
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        for j in range(size):
+            gx[:, j : j + (m - 1) * step + 1 : step] += g[:, :, j]
+        x._accumulate(gx)
+    return _result(np.ascontiguousarray(view.transpose(0, 1, 3, 2)), (x,), "unfold", backward)
 
 
 # -- weight file format -------------------------------------------------------

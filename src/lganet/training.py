@@ -25,12 +25,8 @@ def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     z = logits.data
     # max(z,0) - z*y + log(1+exp(-|z|)) avoids overflow on both tails
     val = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out = _result(np.asarray(val.mean()), (logits,), "bce_loss")
-    if out.requires_grad:
-        def backward():
-            logits._accumulate(out.grad * (_sigmoid_np(z) - y) / z.size)
-        out._backward = backward
-    return out
+    return _result(np.asarray(val.mean()), (logits,), "bce_loss",
+                   lambda g: logits._accumulate(g * (_sigmoid_np(z) - y) / z.size))
 
 
 @dataclass

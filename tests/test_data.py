@@ -91,6 +91,17 @@ def test_truncated_record_reports_offset(tmp_path):
     assert "byte" in str(exc.value)
 
 
+def test_non_finite_sample_reports_record_and_offset(tmp_path):
+    path = tmp_path / "nan.lgae"
+    D.write_dataset(random_records(2, np.random.default_rng(2)), path)
+    raw = bytearray(path.read_bytes())
+    signal_at = 28 + 8 + 3  # header, record 0's patient id and its 3 labels
+    raw[signal_at + 4 : signal_at + 8] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"record 0 signal at byte {signal_at}: .*non-finite"):
+        D.read_dataset(path)
+
+
 def test_trailing_bytes_report_offset(tmp_path):
     path = tmp_path / "junk.lgae"
     D.write_dataset(random_records(2, np.random.default_rng(2)), path)

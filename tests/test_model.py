@@ -254,6 +254,19 @@ def test_divisibility_validation():
         ModelConfig.create(input_len=64, num_stages=4)  # 64 / 2^8 < 1
 
 
+def test_stage_lengths_follow_the_stride():
+    with pytest.raises(ConfigError):  # stages receive 32, 8, 2, ...: stage 3 cannot stride 4
+        ModelConfig.create(leads=2, input_len=512, embed_dim=8, heads=2, num_stages=5,
+                           num_classes=3, window_len=8, stride=4)
+    for stride, input_len in ((2, 128), (4, 256)):
+        model = tiny_model(input_len=input_len, stride=stride, window_len=8)
+        h = model.front_end(rand_input(model, batch=1))
+        for i, blk in enumerate(model.blocks, 1):
+            assert model.config.stage_config(i).max_len == h.shape[1]
+            h = blk.forward(h)
+        assert model.config.stage_len(len(model.blocks) + 1) == h.shape[1] >= 1
+
+
 def test_unknown_model_field_rejected():
     with pytest.raises(ConfigError):
         ModelConfig.create(bogus=1)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from lganet import ops
 from lganet import tensor as T
 from lganet.errors import FormatError, GraphError, NumericsError, ShapeError
 from lganet.gradcheck import coordinate_rel_errors, op_checks
 from lganet.tensor import Tensor
+from lganet.training import bce_loss
 
 
 def test_matmul_identity():
@@ -122,8 +124,76 @@ def test_no_grad_suppresses_graph():
 
 def test_non_finite_result_raises():
     big = Tensor([1e300], dtype="f64")
-    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match=r"op 'mul' on inputs of shape \(1,\), \(1,\)$"):
         T.mul(big, big)
+
+
+# op -> (input shapes, the op applied to tensors of those shapes)
+RECORDING_CASES = {
+    "add": ([(2, 3), (3,)], T.add),
+    "add_scalar": ([(2, 3)], lambda x: T.add(x, 1.5)),
+    "sub": ([(2, 3), (2, 3)], T.sub),
+    "mul": ([(2, 3), (2, 1)], T.mul),
+    "mul_scalar": ([(2, 3)], lambda x: T.mul(x, 2.5)),
+    "matmul": ([(2, 3), (3, 4)], T.matmul),
+    "softmax": ([(2, 3)], T.softmax),
+    "tsum": ([(2, 3)], lambda x: T.tsum(x, axis=0)),
+    "tmean": ([(2, 3)], lambda x: T.tmean(x, axis=1)),
+    "transpose": ([(2, 3)], T.transpose),
+    "reshape": ([(2, 3)], lambda x: T.reshape(x, (3, 2))),
+    "narrow": ([(2, 3)], lambda x: T.narrow(x, (slice(None), 1))),
+    "concatenate": ([(2, 3), (2, 1)], lambda a, b: T.concatenate([a, b], axis=1)),
+    "stack": ([(2, 3), (2, 3)], lambda a, b: T.stack([a, b], axis=1)),
+    "broadcast_to": ([(1, 3)], lambda x: T.broadcast_to(x, (2, 3))),
+    "pad_axis": ([(2, 3)], lambda x: T.pad_axis(x, 1, 1, 2)),
+    "take_rows": ([(4, 3)], lambda t: T.take_rows(t, np.array([[0, 3], [3, 1]]))),
+    "unfold_windows": ([(1, 6, 2)], lambda x: T.unfold_windows(x, 4, 2)),
+    "conv1d": ([(2, 5, 2), (3, 2, 3), (3,)],
+               lambda x, w, b: ops.conv1d(x, ops.Conv1dParams(2, 3, 3, 1, 1, w, b))),
+    "layer_norm": ([(2, 3), (3,), (3,)],
+                   lambda x, g, b: ops.layer_norm(x, ops.LayerNormParams(3, g, b))),
+    "max_pool1d": ([(2, 6, 2)], lambda x: ops.max_pool1d(x, 2, 2)),
+    "avg_pool1d": ([(2, 6, 2)], lambda x: ops.avg_pool1d(x, 3, 1)),
+    "linear": ([(2, 3), (3, 4), (4,)], ops.linear),
+    "relu": ([(2, 3)], ops.relu),
+    "sigmoid": ([(2, 3)], ops.sigmoid),
+    "bce_loss": ([(2, 3)], lambda z: bce_loss(z, np.array([[0, 1, 1], [1, 0, 0]]))),
+}
+
+
+def recorded_leaves(out):
+    leaves, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        if node._op == "leaf":
+            leaves.append(node)
+        stack.extend(node._parents)
+    return leaves
+
+
+@pytest.mark.parametrize("name", sorted(RECORDING_CASES))
+def test_every_op_records_only_when_an_input_requires_grad(name):
+    shapes, op = RECORDING_CASES[name]
+    rng = np.random.default_rng(0)
+
+    def inputs(grad):
+        return [Tensor(rng.uniform(-1, 1, s), requires_grad=grad, dtype="f64") for s in shapes]
+
+    with T.no_grad():
+        unrecorded = [op(*inputs(True))]
+    unrecorded.append(op(*inputs(False)))
+    for out in unrecorded:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    xs = inputs(True)
+    out = op(*xs)
+    assert out.requires_grad and callable(out._backward)
+    # a composite op (sub, linear) records its inputs through its inner nodes
+    assert {id(t) for t in recorded_leaves(out)} == {id(t) for t in xs}
+    if name not in ("sub", "linear"):
+        assert out._parents == tuple(xs)
+    T.tsum(out).backward()
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in xs)
 
 
 def test_slice_and_concat_roundtrip():
