@@ -128,7 +128,7 @@ class LgaWeights:
         if cfg.variant != VARIANT_LOCAL_QKV:
             kernels = ((cfg.query_kernel, cfg.kv_kernel, cfg.kv_kernel)
                        if cfg.variant in (VARIANT_LGA, VARIANT_GLOBAL_QKV) else (1, 1, 1))
-            conv_q, conv_k, conv_v = (Conv1dParams.create(d, d, k, 1, (k - 1) // 2, rng, dtype)
+            conv_q, conv_k, conv_v = (Conv1dParams.create(d, d, k, (k - 1) // 2, rng, dtype)
                                       for k in kernels)
         ape = rel = None
         if cfg.pos_encoding == PE_SINUSOIDAL:
@@ -263,7 +263,7 @@ def global_kv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Te
     """
     ck, cv = w.conv_k, w.conv_v
     d = ck.out_channels
-    kv = replace(ck, out_channels=2 * d, weight=concatenate([ck.weight, cv.weight]),
+    kv = replace(ck, weight=concatenate([ck.weight, cv.weight]),
                  bias=concatenate([ck.bias, cv.bias]))
     out = conv1d(x_norm, kv)
     return narrow(out, (..., slice(0, d))), narrow(out, (..., slice(d, None)))

@@ -197,6 +197,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    TrainSpec(threshold=args.threshold).validate()
     model = Model.load(args.weights, precision=args.precision)
     records = _load_records(args.data)
     report = evaluate(model, records, threshold=args.threshold)

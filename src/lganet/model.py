@@ -47,9 +47,14 @@ class ModelConfig:
 
     @classmethod
     def create(cls, **knobs) -> "ModelConfig":
-        unknown = set(knobs) - {f.name for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(knobs) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown model config fields: {sorted(unknown)}")
+        for name, value in knobs.items():
+            if type(value) is not type(defaults[name]):
+                raise ConfigError(f"model config field {name!r} must be "
+                                  f"{type(defaults[name]).__name__}, got {value!r}")
         cfg = cls(**knobs)
         cfg.validate()
         return cfg
@@ -100,11 +105,11 @@ class ResBlock:
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator, dtype):
         pad = FRONT_KERNEL // 2
-        self.conv1 = Conv1dParams.create(in_channels, out_channels, FRONT_KERNEL, 1, pad, rng, dtype)
-        self.conv2 = Conv1dParams.create(out_channels, out_channels, FRONT_KERNEL, 1, pad, rng, dtype)
+        self.conv1 = Conv1dParams.create(in_channels, out_channels, FRONT_KERNEL, pad, rng, dtype)
+        self.conv2 = Conv1dParams.create(out_channels, out_channels, FRONT_KERNEL, pad, rng, dtype)
         self.skip = None
         if in_channels != out_channels:
-            self.skip = Conv1dParams.create(in_channels, out_channels, 1, 1, 0, rng, dtype)
+            self.skip = Conv1dParams.create(in_channels, out_channels, 1, 0, rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         h = conv1d(relu(conv1d(x, self.conv1)), self.conv2)
@@ -130,11 +135,11 @@ class TransformerBlock:
         self.lga = lga
         d = lga.embed_dim
         self.attn = LgaWeights.create(lga, rng, dtype)
-        self.res_conv = Conv1dParams.create(d, d, 1, 1, 0, rng, dtype)
+        self.res_conv = Conv1dParams.create(d, d, 1, 0, rng, dtype)
         self.reduce = None
         if lga.variant == VARIANT_VIT:
             # full-length attention output needs the same pooled reduction
-            self.reduce = Conv1dParams.create(d, d, 1, 1, 0, rng, dtype)
+            self.reduce = Conv1dParams.create(d, d, 1, 0, rng, dtype)
         self.norm2 = LayerNormParams.create(d, dtype)
         self.w1, self.b1 = linear_params(d, mlp_hidden, rng, dtype)
         self.w2, self.b2 = linear_params(mlp_hidden, d, rng, dtype)
@@ -248,12 +253,15 @@ class Model:
             raise FormatError(f"missing weight sidecar {sidecar}") from None
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid weight sidecar {sidecar}: {exc}") from None
-        if "model" not in meta:
+        if not isinstance(meta, dict) or not isinstance(meta.get("model"), dict):
             raise FormatError(f"weight sidecar {sidecar} lacks a 'model' section")
         cfg_dict = dict(meta["model"])
         if precision is not None:
             cfg_dict["precision"] = precision
-        config = ModelConfig.from_dict(cfg_dict)
+        try:
+            config = ModelConfig.from_dict(cfg_dict)
+        except ConfigError as exc:
+            raise FormatError(f"invalid weight sidecar {sidecar}: {exc}") from None
         model = cls(config, seed=0)
         model.load_state(read_weights(path))
         return model

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _records, _result, _window_view, add, matmul
+from .tensor import Tensor, _fold_windows, _records, _result, _window_view, add, matmul
 
 
 def conv_out_len(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -28,37 +28,38 @@ def conv_out_len(length: int, kernel: int, stride: int, padding: int) -> int:
 
 @dataclass
 class Conv1dParams:
-    """Weights and geometry of one 1-D convolution (cross-correlation, zero padded)."""
+    """Weights and padding of one stride-1 1-D convolution (cross-correlation, zero padded)."""
 
-    in_channels: int
-    out_channels: int
-    kernel_size: int
-    stride: int
-    padding: int
     weight: Tensor  # [out, in, k]
     bias: Tensor    # [out]
+    padding: int
 
     def __post_init__(self):
-        expected = (self.out_channels, self.in_channels, self.kernel_size)
-        if self.weight.shape != expected:
-            raise ShapeError(f"conv weight shape {self.weight.shape} != {expected}")
+        if self.weight.ndim != 3:
+            raise ShapeError(f"conv weight must be [out, in, k], got shape {self.weight.shape}")
         if self.bias.shape != (self.out_channels,):
             raise ShapeError(f"conv bias shape {self.bias.shape} != ({self.out_channels},)")
 
+    @property
+    def out_channels(self) -> int:
+        return self.weight.shape[0]
+
+    @property
+    def in_channels(self) -> int:
+        return self.weight.shape[1]
+
+    @property
+    def kernel_size(self) -> int:
+        return self.weight.shape[2]
+
     @classmethod
-    def create(cls, in_channels, out_channels, kernel_size, stride=1, padding=0,
-               rng: np.random.Generator | None = None, dtype=np.float32) -> "Conv1dParams":
-        fan_in = in_channels * kernel_size
-        bound = 1.0 / np.sqrt(fan_in)
-        if rng is None:
-            w = np.zeros((out_channels, in_channels, kernel_size))
-            b = np.zeros(out_channels)
-        else:
-            w = rng.uniform(-bound, bound, (out_channels, in_channels, kernel_size))
-            b = rng.uniform(-bound, bound, out_channels)
-        return cls(in_channels, out_channels, kernel_size, stride, padding,
-                   Tensor(w, requires_grad=True, dtype=dtype),
-                   Tensor(b, requires_grad=True, dtype=dtype))
+    def create(cls, in_channels, out_channels, kernel_size, padding,
+               rng: np.random.Generator, dtype=np.float32) -> "Conv1dParams":
+        bound = 1.0 / np.sqrt(in_channels * kernel_size)
+        w = rng.uniform(-bound, bound, (out_channels, in_channels, kernel_size))
+        b = rng.uniform(-bound, bound, out_channels)
+        return cls(Tensor(w, requires_grad=True, dtype=dtype),
+                   Tensor(b, requires_grad=True, dtype=dtype), padding)
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
@@ -66,29 +67,27 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"conv1d expects [B, L, C], got {x.shape}")
     b, length, c = x.shape
-    if c != p.in_channels:
-        raise ShapeError(f"conv1d input has {c} channels, params expect {p.in_channels}")
-    k, s, pad = p.kernel_size, p.stride, p.padding
-    l_out = conv_out_len(length, k, s, pad)
+    c_out, c_in, k = p.weight.shape
+    if c != c_in:
+        raise ShapeError(f"conv1d input has {c} channels, params expect {c_in}")
+    pad = p.padding
+    l_out = conv_out_len(length, k, 1, pad)
     xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0))) if pad else x.data
     # k-major im2col, one matmul for every output position: in channels-last an
     # output's k x C patch is contiguous, so rows copy whole; weight read as [out, k, in]
-    cols = _window_view(xp, k, s).swapaxes(2, 3).reshape(b * l_out, k * c)
-    w2 = p.weight.data.transpose(0, 2, 1).reshape(p.out_channels, k * c)
-    val = (cols @ w2.T).reshape(b, l_out, p.out_channels)
+    cols = _window_view(xp, k, 1).reshape(b * l_out, k * c)
+    w2 = p.weight.data.transpose(0, 2, 1).reshape(c_out, k * c)
+    val = (cols @ w2.T).reshape(b, l_out, c_out)
     val += p.bias.data
     def backward(g):  # g: [B, L_out, C_out]
         if p.bias.requires_grad:
             p.bias._accumulate(g.sum(axis=(0, 1)))
-        g2 = g.reshape(b * l_out, p.out_channels)
+        g2 = g.reshape(b * l_out, c_out)
         if p.weight.requires_grad:
-            dw = (g2.T @ cols).reshape(p.out_channels, k, c)
+            dw = (g2.T @ cols).reshape(c_out, k, c)
             p.weight._accumulate(dw.transpose(0, 2, 1))
         if x.requires_grad:
-            dcols = (g2 @ w2).reshape(b, l_out, k, c)
-            gx = np.zeros((b, length + 2 * pad, c), dtype=x.dtype)
-            for j in range(k):
-                gx[:, j : j + (l_out - 1) * s + 1 : s] += dcols[:, :, j]
+            gx = _fold_windows((g2 @ w2).reshape(b, l_out, k, c), length + 2 * pad, 1)
             x._accumulate(gx[:, pad : pad + length] if pad else gx)
     return _result(val, (x, p.weight, p.bias), "conv1d", backward)
 
@@ -152,11 +151,9 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         if idx is not None:
             np.copyto(idx, j, where=sl > val)
         np.maximum(val, sl, out=val)
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        for j in range(kernel):
-            gx[:, j : j + span : stride] += np.where(idx == j, g, 0)
-        x._accumulate(gx)
+    def backward(g):  # window j of each output takes g where its maximum sat at j
+        hit = idx[:, :, None] == np.arange(kernel)[:, None]  # [B, L_out, kernel, C]
+        x._accumulate(_fold_windows(hit * g[:, :, None], x.shape[1], stride))
     return _result(val, (x,), "max_pool1d", backward)
 
 
@@ -170,12 +167,10 @@ def avg_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
     for j in range(1, kernel):
         val += x.data[:, j : j + span : stride]
     val /= kernel
-    def backward(g):
-        share = g / kernel
-        gx = np.zeros_like(x.data)
-        for j in range(kernel):
-            gx[:, j : j + span : stride] += share
-        x._accumulate(gx)
+    def backward(g):  # every member of a window takes an equal share
+        b, l_out, c = g.shape
+        share = np.broadcast_to((g / kernel)[:, :, None], (b, l_out, kernel, c))
+        x._accumulate(_fold_windows(share, x.shape[1], stride))
     return _result(val, (x,), "avg_pool1d", backward)
 
 
@@ -186,14 +181,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
-def linear_params(d_in: int, d_out: int, rng: np.random.Generator | None = None,
+def linear_params(d_in: int, d_out: int, rng: np.random.Generator,
                   dtype=np.float32) -> tuple[Tensor, Tensor]:
     bound = 1.0 / np.sqrt(d_in)
-    if rng is None:
-        w, b = np.zeros((d_in, d_out)), np.zeros(d_out)
-    else:
-        w = rng.uniform(-bound, bound, (d_in, d_out))
-        b = rng.uniform(-bound, bound, d_out)
+    w = rng.uniform(-bound, bound, (d_in, d_out))
+    b = rng.uniform(-bound, bound, d_out)
     return (Tensor(w, requires_grad=True, dtype=dtype),
             Tensor(b, requires_grad=True, dtype=dtype))
 

@@ -91,12 +91,6 @@ class Tensor:
     def _not_scalar(self):
         raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -135,54 +129,6 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
                 node.grad = None
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not supported; divide by a scalar")
-        return mul(self, 1.0 / other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return narrow(self, key)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
@@ -420,8 +366,19 @@ def take_rows(table, index: np.ndarray) -> Tensor:
 
 
 def _window_view(x: np.ndarray, size: int, step: int) -> np.ndarray:
-    """[B, L, C] -> strided view [B, L_out, C, size] of sliding windows along axis 1."""
-    return np.lib.stride_tricks.sliding_window_view(x, size, axis=1)[:, ::step]
+    """[B, L, C] -> strided view [B, L_out, size, C] of sliding windows along axis 1."""
+    return np.lib.stride_tricks.sliding_window_view(x, size, axis=1)[:, ::step].swapaxes(2, 3)
+
+
+def _fold_windows(g: np.ndarray, length: int, step: int) -> np.ndarray:
+    """Adjoint of ``_window_view``: scatter-add windows [B, L_out, size, C] onto
+    [B, length, C], the backward of every sliding-window op."""
+    b, l_out, size, c = g.shape
+    span = (l_out - 1) * step + 1
+    out = np.zeros((b, length, c), dtype=g.dtype)
+    for j in range(size):
+        out[:, j : j + span : step] += g[:, :, j]
+    return out
 
 
 def unfold_windows(x, size: int, step: int) -> Tensor:
@@ -429,19 +386,13 @@ def unfold_windows(x, size: int, step: int) -> Tensor:
     x = _as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"unfold_windows expects [B, N, D], got {x.shape}")
-    b, n, d = x.shape
+    n = x.shape[1]
     if size < 1 or step < 1:
         raise ShapeError(f"invalid window size={size} step={step}")
     if n < size:
         raise ShapeError(f"sequence length {n} shorter than window {size}")
-    m = (n - size) // step + 1
-    view = _window_view(x.data, size, step)
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        for j in range(size):
-            gx[:, j : j + (m - 1) * step + 1 : step] += g[:, :, j]
-        x._accumulate(gx)
-    return _result(np.ascontiguousarray(view.transpose(0, 1, 3, 2)), (x,), "unfold", backward)
+    return _result(np.ascontiguousarray(_window_view(x.data, size, step)), (x,), "unfold",
+                   lambda g: x._accumulate(_fold_windows(g, n, step)))
 
 
 # -- weight file format -------------------------------------------------------
@@ -496,7 +447,12 @@ def read_weights(path) -> dict[str, np.ndarray]:
         for i in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2, offset, "name length"))
             offset += 2
-            name = _read_exact(fh, nlen, offset, "name").decode("utf-8")
+            try:
+                name = _read_exact(fh, nlen, offset, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"tensor name at byte {offset} is not valid UTF-8") from None
+            if name in out:
+                raise FormatError(f"duplicate tensor name {name!r} at byte {offset}")
             offset += nlen
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, offset, "rank"))
             offset += 1

@@ -9,7 +9,8 @@ import pytest
 from lganet import cli, ops
 from lganet.cli import main, parse_run_config
 from lganet.data import read_dataset, read_dataset_header
-from lganet.errors import ConfigError
+from lganet.errors import ConfigError, FormatError
+from lganet.model import Model, ModelConfig
 
 MICRO_CONFIG = {
     "seed": 5,
@@ -136,6 +137,35 @@ def test_eval_threshold_monotone(tmp_path, capsys):
         rep = json.loads(capsys.readouterr().out)
         counts.append(sum(c["tp"] + c["fp"] for c in rep["per_class"]))
     assert counts[0] >= counts[1] >= counts[2]
+
+
+def saved_model(tmp_path):
+    weights = tmp_path / "w.lgaw"
+    Model(ModelConfig.create(**MICRO_CONFIG["model"])).save(weights)
+    return weights
+
+
+@pytest.mark.parametrize("model", [
+    {**MICRO_CONFIG["model"], "leads": "3"},
+    {**MICRO_CONFIG["model"], "leads": 3.0},
+    ["x"],
+], ids=["leads-str", "leads-float", "model-list"])
+def test_eval_malformed_sidecar_exits_2(tmp_path, capsys, model):
+    weights = saved_model(tmp_path)
+    sidecar = tmp_path / "w.lgaw.json"
+    sidecar.write_text(json.dumps({"model": model}))
+    with pytest.raises(FormatError, match="sidecar"):
+        Model.load(weights)
+    data = make_dataset(tmp_path, n=8)
+    assert main(["eval", "--weights", str(weights), "--data", str(data)]) == 2
+    assert str(sidecar) in capsys.readouterr().err
+
+
+def test_eval_threshold_out_of_range_exits_2(tmp_path, capsys):
+    weights, data = saved_model(tmp_path), make_dataset(tmp_path, n=8)
+    assert main(["eval", "--weights", str(weights), "--data", str(data),
+                 "--threshold", "1.5"]) == 2
+    assert "threshold must be in (0, 1)" in capsys.readouterr().err
 
 
 def test_effective_config_roundtrip(tmp_path):

@@ -173,7 +173,7 @@ def test_zero_input_zero_bias_gives_zero_logits():
 
 def test_count_parameters_examples():
     assert count_parameters({}) == 0
-    w, b = linear_params(2, 3)
+    w, b = linear_params(2, 3, np.random.default_rng(0))
     assert count_parameters({"w": w, "b": b}) == 9
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lganet import ops
 from lganet import tensor as T
@@ -69,20 +71,20 @@ def test_softmax_shift_invariance():
 
 def test_backward_of_sum_is_ones():
     x = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, 3, 4)), requires_grad=True)
-    x.sum().backward()
+    T.tsum(x).backward()
     assert np.array_equal(x.grad, np.ones((2, 3, 4), dtype=np.float32))
 
 
 def test_backward_of_half_sum_of_squares():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype="f64")
-    ((x * x).sum() * 0.5).backward()
+    T.mul(T.tsum(T.mul(x, x)), 0.5).backward()
     assert np.allclose(x.grad, [1.0, 2.0, 3.0])
 
 
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(GraphError):
-        (x * 2.0).backward()
+        T.mul(x, 2.0).backward()
 
 
 def test_backward_on_detached_tensor_is_an_error():
@@ -94,8 +96,8 @@ def test_backward_on_detached_tensor_is_an_error():
 
 def test_backward_releases_the_graph_and_runs_once():
     x = Tensor([1.0, 2.0], requires_grad=True, dtype="f64")
-    y = x * x
-    loss = y.sum()
+    y = T.mul(x, x)
+    loss = T.tsum(y)
     loss.backward()
     assert x.grad.tolist() == [2.0, 4.0]
     for node in (y, loss):
@@ -103,20 +105,20 @@ def test_backward_releases_the_graph_and_runs_once():
     with pytest.raises(GraphError, match="already consumed"):
         loss.backward()
     with pytest.raises(GraphError, match="already consumed"):
-        (y * 3.0).sum().backward()  # a new root over a consumed node
+        T.tsum(T.mul(y, 3.0)).backward()  # a new root over a consumed node
     assert x.grad.tolist() == [2.0, 4.0]
 
 
 def test_fanout_accumulates_additively():
     x = Tensor([5.0], requires_grad=True)
-    (x + x).sum().backward()
+    T.tsum(T.add(x, x)).backward()
     assert x.grad.tolist() == [2.0]
 
 
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with T.no_grad():
-        y = x * 3.0
+        y = T.mul(x, 3.0)
     assert not y.requires_grad
     with pytest.raises(GraphError):
         y.backward()
@@ -150,7 +152,7 @@ RECORDING_CASES = {
     "take_rows": ([(4, 3)], lambda t: T.take_rows(t, np.array([[0, 3], [3, 1]]))),
     "unfold_windows": ([(1, 6, 2)], lambda x: T.unfold_windows(x, 4, 2)),
     "conv1d": ([(2, 5, 2), (3, 2, 3), (3,)],
-               lambda x, w, b: ops.conv1d(x, ops.Conv1dParams(2, 3, 3, 1, 1, w, b))),
+               lambda x, w, b: ops.conv1d(x, ops.Conv1dParams(w, b, 1))),
     "layer_norm": ([(2, 3), (3,), (3,)],
                    lambda x, g, b: ops.layer_norm(x, ops.LayerNormParams(3, g, b))),
     "max_pool1d": ([(2, 6, 2)], lambda x: ops.max_pool1d(x, 2, 2)),
@@ -198,10 +200,10 @@ def test_every_op_records_only_when_an_input_requires_grad(name):
 
 def test_slice_and_concat_roundtrip():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    left, right = x[:, :2], x[:, 2:]
+    left, right = T.narrow(x, np.s_[:, :2]), T.narrow(x, np.s_[:, 2:])
     back = T.concatenate([left, right], axis=1)
     assert np.array_equal(back.data, x.data)
-    back.sum().backward()
+    T.tsum(back).backward()
     assert np.array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
 
 
@@ -222,7 +224,7 @@ def test_pad_axis_values_and_gradient():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     y = T.pad_axis(x, 1, 2, 1)
     assert y.data.tolist() == [[0.0, 0.0, 1.0, 2.0, 0.0]]
-    y.sum().backward()
+    T.tsum(y).backward()
     assert x.grad.tolist() == [[1.0, 1.0]]
 
 
@@ -233,12 +235,24 @@ def test_unfold_windows_values():
     assert win.data[0, 1, :, 0].tolist() == [2.0, 3.0, 4.0, 5.0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), length=st.integers(1, 12), c=st.integers(1, 3),
+       size=st.integers(1, 5), step=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_fold_windows_is_the_adjoint_of_window_view(b, length, c, size, step, seed):
+    assume(size <= length)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (b, length, c))
+    view = T._window_view(x, size, step)
+    g = rng.uniform(-1, 1, view.shape)
+    assert abs(np.vdot(view, g) - np.vdot(x, T._fold_windows(g, length, step))) <= 1e-12
+
+
 def test_take_rows_gathers_and_scatters():
     table = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True, dtype="f64")
     idx = np.array([[0, 3], [3, 4]])
     out = T.take_rows(table, idx)
     assert out.shape == (2, 2, 2)
-    out.sum().backward()
+    T.tsum(out).backward()
     # row 3 gathered twice -> gradient 2 per element
     assert table.grad[:, 0].tolist() == [1.0, 0.0, 0.0, 2.0, 1.0]
 
@@ -264,7 +278,7 @@ def test_gradient_error_distribution_on_core_ops():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(-1, 1, (4, 6)), requires_grad=True, dtype="f64")
     w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True, dtype="f64")
-    errs = coordinate_rel_errors(lambda: T.softmax(T.matmul(x, w), axis=-1).sum(), [x, w])
+    errs = coordinate_rel_errors(lambda: T.tsum(T.softmax(T.matmul(x, w), axis=-1)), [x, w])
     assert np.quantile(errs, 0.99) <= 1e-4
     assert errs.max() <= 1e-3
 
@@ -274,7 +288,7 @@ def test_only_the_analytic_evaluation_records_a_graph():
     recorded = []
 
     def fn():
-        out = (x * x).sum()
+        out = T.tsum(T.mul(x, x))
         recorded.append(out.requires_grad)
         return out
 
@@ -330,6 +344,25 @@ def test_weight_file_bad_magic(tmp_path):
     with pytest.raises(FormatError) as exc:
         T.read_weights(path)
     assert "byte 0" in str(exc.value)
+
+
+def test_weight_file_bad_name_reports_offset(tmp_path):
+    path = tmp_path / "w.lgaw"
+    T.write_weights(path, {"a": np.zeros(1, dtype=np.float32)})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:14] + b"\xff" + raw[15:])  # the name byte: not UTF-8
+    with pytest.raises(FormatError, match="name at byte 14 is not valid UTF-8"):
+        T.read_weights(path)
+
+
+def test_weight_file_duplicate_name_reports_offset(tmp_path):
+    path = tmp_path / "w.lgaw"
+    T.write_weights(path, {"a": np.zeros(1, dtype=np.float32), "b": np.ones(1, dtype=np.float32)})
+    raw = path.read_bytes()
+    # entry = name length (2) + name + rank (1) + extent (4) + value (4): "b" is at byte 26
+    path.write_bytes(raw[:26] + b"a" + raw[27:])
+    with pytest.raises(FormatError, match="duplicate tensor name 'a' at byte 26"):
+        T.read_weights(path)
 
 
 def test_weight_file_truncation_reports_offset(tmp_path):
