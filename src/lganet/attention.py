@@ -170,14 +170,8 @@ def window_count(n: int, window_len: int, stride: int, halving: bool = True) -> 
 # -- positional encoding helpers ----------------------------------------------
 
 
-def _check_capacity(cfg: LgaConfig, n: int) -> None:
-    if cfg.max_len is not None and n > cfg.max_len:
-        raise ConfigError(f"sequence length {n} exceeds positional table capacity {cfg.max_len}")
-
-
 def _ape_rows(w: LgaWeights, cfg: LgaConfig, n: int) -> Tensor:
     """Absolute encodings for positions 0..n-1 as [1, n, D]."""
-    _check_capacity(cfg, n)
     return reshape(narrow(w.ape, slice(0, n)), (1, n, cfg.embed_dim))
 
 
@@ -189,10 +183,10 @@ def _halo_pad(t: Tensor, cfg: LgaConfig) -> Tensor:
 def _relative_bias(w: LgaWeights, cfg: LgaConfig, m: int, n: int,
                    step: int = 1, start: int = 0) -> Tensor | None:
     """[m, n] score bias gathered from the offset table for queries at
-    positions start + i * step and keys at 0..n-1; None unless RELATIVE."""
+    positions start + i * step and keys at 0..n-1, offsets clipped to the
+    table's +-max_len; None unless RELATIVE."""
     if cfg.pos_encoding != PE_RELATIVE:
         return None
-    _check_capacity(cfg, n)
     cap = cfg.max_len
     offsets = np.arange(n)[None, :] - (np.arange(m) * step + start)[:, None]
     return take_rows(w.rel, np.clip(offsets, -cap, cap) + cap)
@@ -348,6 +342,9 @@ def attention_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights,
         core = _CORES[cfg.variant]
     except KeyError:
         raise ConfigError(f"unknown attention variant {cfg.variant!r}") from None
+    n = x_norm.shape[1]
+    if cfg.pos_encoding != PE_NONE and n > cfg.max_len:
+        raise ConfigError(f"sequence length {n} exceeds positional table capacity {cfg.max_len}")
     return core(x_norm, cfg, w, capture)
 
 

@@ -14,7 +14,7 @@ import os
 import sys
 import typing
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import reduce
 from pathlib import Path
 
@@ -30,8 +30,8 @@ from .data import (
     write_dataset,
 )
 from .errors import ConfigError, FormatError, LganetError
-from .gradcheck import run_all
-from .model import Model, ModelConfig
+from .gradcheck import DEFAULT_TOL, run_all
+from .model import Model, ModelConfig, count_parameters
 from .training import ScheduleSpec, TrainSpec, evaluate, train, write_log_csv
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
     if args.precision is not None:
-        cfg.model = ModelConfig.from_dict({**cfg.model.to_dict(), "precision": args.precision})
+        cfg.model = ModelConfig.create(**{**asdict(cfg.model), "precision": args.precision})
     if args.data is not None:
         cfg.dataset = args.data
     return cfg
@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
     with open(out_dir / "effective_config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"trained {len(log)} epochs, {model.count_parameters()} parameters, "
+    print(f"trained {len(log)} epochs, {count_parameters(model.parameters())} parameters, "
           f"final val macro-F1 {report.macro_f1:.4f}")
     print(f"artifacts in {args.out}")
     return EXIT_OK
@@ -233,7 +233,7 @@ def cmd_ablate(args) -> int:
     tr, val, dev = split_by_patient(records, cfg.split, require_nonempty=True)
     rows = []
     for knob, value in settings:
-        model = Model(ModelConfig.from_dict({**cfg.model.to_dict(), knob: value}), seed=cfg.train.seed)
+        model = Model(ModelConfig.create(**{**asdict(cfg.model), knob: value}), seed=cfg.train.seed)
         train(model, tr, val, cfg.train, verbose=args.verbose)
         report = evaluate(model, dev, cfg.train.threshold, cfg.train.batch_size)
         rows.append([str(value)] + [f"{c.f1:.4f}" for c in report.classes]
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

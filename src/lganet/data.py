@@ -3,7 +3,6 @@ and a deterministic synthetic signal generator for desk-scale training."""
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -12,12 +11,13 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .model import ModelConfig
-from .tensor import Tensor, _read_exact
+from .tensor import Tensor, _Reader
 
 DATASET_MAGIC = b"LGAE"
 DATASET_VERSION = 1
 DEFAULT_SAMPLE_RATE = 400
 DEFAULT_CLASS_NAMES = ("1st_AVB", "RBBB", "LBBB", "SB", "AF", "ST")
+SYNTH_NOISE = 0.05  # std of the Gaussian noise synth_dataset adds, millivolts
 
 
 @dataclass(eq=False)
@@ -78,12 +78,12 @@ def write_dataset(records: Sequence[EcgRecord], path, sample_rate: int = DEFAULT
             fh.write(np.ascontiguousarray(rec.signal, dtype="<f4").tobytes())
 
 
-def _read_header(fh) -> dict:
-    """Read and check the 28-byte LGAE header at the start of an open file."""
-    magic = _read_exact(fh, 4, 0, "magic")
+def _read_header(r: _Reader) -> dict:
+    """Read and check the 28-byte LGAE header at the start of a file."""
+    magic = r.read(4, "magic")
     if magic != DATASET_MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0, expected {DATASET_MAGIC!r}")
-    version, count, c, n, k, rate = struct.unpack("<IIIIII", _read_exact(fh, 24, 4, "header"))
+    version, count, c, n, k, rate = struct.unpack("<IIIIII", r.read(24, "header"))
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version} at byte 4")
     return {"version": version, "records": count, "leads": c, "length": n,
@@ -94,32 +94,31 @@ def read_dataset(path) -> list[EcgRecord]:
     """Read an LGAE file back; raises FormatError with a byte offset on corruption."""
     records: list[EcgRecord] = []
     with open(path, "rb") as fh:
-        head = _read_header(fh)
+        r = _Reader(fh)
+        head = _read_header(r)
         count, c, n, k = head["records"], head["leads"], head["length"], head["classes"]
-        offset = 28
         sig_bytes = 4 * c * n
         for i in range(count):
-            (patient,) = struct.unpack("<Q", _read_exact(fh, 8, offset, f"record {i} patient id"))
-            offset += 8
-            labels = np.frombuffer(_read_exact(fh, k, offset, f"record {i} labels"), dtype=np.uint8)
+            (patient,) = struct.unpack("<Q", r.read(8, f"record {i} patient id"))
+            at = r.offset
+            labels = np.frombuffer(r.read(k, f"record {i} labels"), dtype=np.uint8)
             if not np.all(labels <= 1):
-                raise FormatError(f"record {i} has non-binary labels at byte {offset}")
-            offset += k
-            raw = _read_exact(fh, sig_bytes, offset, f"record {i} signal")
-            signal = np.frombuffer(raw, dtype="<f4").reshape(c, n).astype(np.float32)
+                raise FormatError(f"record {i} has non-binary labels at byte {at}")
+            at = r.offset
+            signal = np.frombuffer(r.read(sig_bytes, f"record {i} signal"),
+                                   dtype="<f4").reshape(c, n).astype(np.float32)
             try:  # EcgRecord's own check of the samples, the one not made above
                 records.append(EcgRecord(signal, labels.copy(), int(patient)))
             except ConfigError as exc:
-                raise FormatError(f"record {i} signal at byte {offset}: {exc}") from None
-            offset += sig_bytes
-        if fh.read(1):
-            raise FormatError(f"trailing bytes at byte {offset} after {count} records")
+                raise FormatError(f"record {i} signal at byte {at}: {exc}") from None
+        if r.offset < r.size:
+            raise FormatError(f"trailing bytes at byte {r.offset} after {count} records")
     return records
 
 
 def read_dataset_header(path) -> dict:
     with open(path, "rb") as fh:
-        return _read_header(fh)
+        return _read_header(_Reader(fh))
 
 
 def _apportion(total: int, fractions: Sequence[float]) -> list[int]:
@@ -164,8 +163,7 @@ def _gaussian_bump(length: int, center: float, width: float) -> np.ndarray:
 
 
 def synth_dataset(n: int, num_classes: int = ModelConfig.num_classes, seed: int = 0,
-                  leads: int = ModelConfig.leads, length: int = ModelConfig.input_len,
-                  labels_per_record: int | None = None, noise: float = 0.05) -> list[EcgRecord]:
+                  leads: int = ModelConfig.leads, length: int = ModelConfig.input_len) -> list[EcgRecord]:
     """Deterministic beat-train generator with one injected signature per class.
 
     Class effects on the periodic Gaussian-bump baseline:
@@ -182,18 +180,9 @@ def synth_dataset(n: int, num_classes: int = ModelConfig.num_classes, seed: int 
     base_period = length // 8
     records = []
     for i in range(n):
-        if labels_per_record is None:
-            labels = (rng.random(num_classes) < 0.3).astype(np.uint8)
-            if num_classes > 5 and labels[3] and labels[5]:
-                labels[5] = 0
-        else:
-            if not 0 <= labels_per_record <= num_classes:
-                raise ConfigError(f"labels_per_record out of range: {labels_per_record}")
-            labels = np.zeros(num_classes, dtype=np.uint8)
-            chosen = rng.choice(num_classes, size=labels_per_record, replace=False)
-            labels[chosen] = 1
-            if num_classes > 5 and labels[3] and labels[5]:
-                labels[5] = 0
+        labels = (rng.random(num_classes) < 0.3).astype(np.uint8)
+        if num_classes > 5 and labels[3] and labels[5]:
+            labels[5] = 0
         period = base_period
         if num_classes > 3 and labels[3]:
             period = int(base_period * 1.5)
@@ -214,7 +203,7 @@ def synth_dataset(n: int, num_classes: int = ModelConfig.num_classes, seed: int 
         signal = gains[:, None] * beat[None, :]
         if num_classes > 1 and labels[1]:
             signal[: leads // 2] *= -1.0
-        signal += rng.normal(0.0, noise, (leads, length))
+        signal += rng.normal(0.0, SYNTH_NOISE, (leads, length))
         records.append(EcgRecord(signal.astype(np.float32), labels, patient_id=i))
     return records
 
@@ -239,13 +228,3 @@ def class_names(k: int) -> tuple[str, ...]:
     if k == len(DEFAULT_CLASS_NAMES):
         return DEFAULT_CLASS_NAMES
     return tuple(f"class_{i}" for i in range(k))
-
-
-def export_labels_csv(records: Sequence[EcgRecord], path) -> None:
-    """record_index, patient_id, one column per class label."""
-    k = records[0].labels.shape[0] if records else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("record_index", "patient_id") + class_names(k))
-        for i, rec in enumerate(records):
-            writer.writerow([i, rec.patient_id] + [int(x) for x in rec.labels])

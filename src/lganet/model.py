@@ -88,13 +88,6 @@ class ModelConfig:
             raise ConfigError(f"precision must be 'f32' or 'f64', got {self.precision!r}") from None
         self.stage_config(1).validate()  # the stages differ only in max_len, always >= 1 here
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelConfig":
-        return cls.create(**dict(d))
-
     @property
     def dtype(self) -> np.dtype:
         return resolve_dtype(self.precision)
@@ -217,9 +210,6 @@ class Model:
         out["head.bias"] = self.head_b
         return out
 
-    def count_parameters(self) -> int:
-        return count_parameters(self.parameters())
-
     def state_snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.parameters().items()}
 
@@ -240,7 +230,7 @@ class Model:
         write_weights(path, self.parameters())
         sidecar = str(path) + ".json"
         with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump({"model": self.config.to_dict()}, fh, indent=2, sort_keys=True)
+            json.dump({"model": asdict(self.config)}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -259,7 +249,7 @@ class Model:
         if precision is not None:
             cfg_dict["precision"] = precision
         try:
-            config = ModelConfig.from_dict(cfg_dict)
+            config = ModelConfig.create(**cfg_dict)
         except ConfigError as exc:
             raise FormatError(f"invalid weight sidecar {sidecar}: {exc}") from None
         model = cls(config, seed=0)

@@ -92,36 +92,35 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     return _result(val, (x, p.weight, p.bias), "conv1d", backward)
 
 
+LAYER_NORM_EPS = 1e-5
+
+
 @dataclass
 class LayerNormParams:
     """Per-feature affine parameters for layer normalization over the last axis."""
 
-    dim: int
-    gamma: Tensor
-    beta: Tensor
-    epsilon: float = 1e-5
+    gamma: Tensor  # [D]
+    beta: Tensor   # [D]
 
     def __post_init__(self):
-        if self.gamma.shape != (self.dim,) or self.beta.shape != (self.dim,):
-            raise ShapeError(f"layer norm affine shapes must be ({self.dim},)")
+        if self.gamma.ndim != 1 or self.beta.shape != self.gamma.shape:
+            raise ShapeError(f"layer norm gamma {self.gamma.shape}, beta {self.beta.shape}: need [D]")
 
     @classmethod
-    def create(cls, dim: int, dtype=np.float32, epsilon: float = 1e-5) -> "LayerNormParams":
-        return cls(dim,
-                   Tensor(np.ones(dim), requires_grad=True, dtype=dtype),
-                   Tensor(np.zeros(dim), requires_grad=True, dtype=dtype),
-                   epsilon)
+    def create(cls, dim: int, dtype=np.float32) -> "LayerNormParams":
+        return cls(Tensor(np.ones(dim), requires_grad=True, dtype=dtype),
+                   Tensor(np.zeros(dim), requires_grad=True, dtype=dtype))
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     """Standardize the last axis to zero mean / unit variance, then apply gamma, beta."""
-    if x.shape[-1] != p.dim:
-        raise ShapeError(f"layer_norm dim {p.dim} does not match input {x.shape}")
-    d = p.dim
+    d = p.gamma.shape[0]
+    if x.shape[-1] != d:
+        raise ShapeError(f"layer_norm dim {d} does not match input {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + p.epsilon)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     def backward(g):
         lead = tuple(range(g.ndim - 1))
@@ -191,9 +190,7 @@ def linear_params(d_in: int, d_out: int, rng: np.random.Generator,
 
 
 def relu(x: Tensor) -> Tensor:
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    return _result(np.maximum(x_t.data, 0), (x_t,), "relu",
-                   lambda g: x_t._accumulate(g * (x_t.data > 0)))
+    return _result(np.maximum(x.data, 0), (x,), "relu", lambda g: x._accumulate(g * (x.data > 0)))
 
 
 def _sigmoid_np(z: np.ndarray) -> np.ndarray:
@@ -207,6 +204,5 @@ def _sigmoid_np(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    y = _sigmoid_np(x_t.data)
-    return _result(y, (x_t,), "sigmoid", lambda g: x_t._accumulate(g * y * (1.0 - y)))
+    y = _sigmoid_np(x.data)
+    return _result(y, (x,), "sigmoid", lambda g: x._accumulate(g * y * (1.0 - y)))

@@ -15,6 +15,8 @@ it is freed by refcounting during backward, and can be replayed only once.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence
@@ -134,10 +136,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _records(parents: Sequence[Tensor]) -> bool:
     """True when an op on ``parents`` records a graph node for backward."""
     return _grad_enabled and any(p.requires_grad for p in parents)
@@ -179,12 +177,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise and scalar ops ---------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        a = _as_tensor(a)
         return _result(a.data + b, (a,), "add_scalar", a._accumulate)
-    if not isinstance(a, Tensor):
-        return add(b, a)
     def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
@@ -193,18 +188,15 @@ def add(a, b) -> Tensor:
     return _result(a.data + b.data, (a, b), "add", backward)
 
 
-def sub(a, b) -> Tensor:
+def sub(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
-        return add(_as_tensor(a), mul(b, -1.0))
+        return add(a, mul(b, -1.0))
     return add(a, -b)
 
 
-def mul(a, b) -> Tensor:
+def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        a = _as_tensor(a)
         return _result(a.data * b, (a,), "mul_scalar", lambda g: a._accumulate(g * b))
-    if not isinstance(a, Tensor):
-        return mul(b, a)
     def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
@@ -216,8 +208,7 @@ def mul(a, b) -> Tensor:
 # -- contractions ------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -232,9 +223,8 @@ def matmul(a, b) -> Tensor:
     return _result(np.matmul(a.data, b.data), (a, b), "matmul", backward)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Normalized exponentials along ``axis``, computed with max subtraction."""
-    x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -257,47 +247,42 @@ def _norm_axis(axis, ndim: int):
     return tuple(a % ndim for a in axis)
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
+def tsum(x: Tensor, axis=None) -> Tensor:
     axes = _norm_axis(axis, x.ndim)
     def backward(g):
-        if axes is not None and not keepdims:
+        if axes is not None:
             g = np.expand_dims(g, axes)
         x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
-    return _result(x.data.sum(axis=axes, keepdims=keepdims), (x,), "sum", backward)
+    return _result(x.data.sum(axis=axes), (x,), "sum", backward)
 
 
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
+def tmean(x: Tensor, axis=None) -> Tensor:
     axes = _norm_axis(axis, x.ndim)
     count = x.size if axes is None else int(np.prod([x.shape[a] for a in axes]))
     def backward(g):
         g = g / count
-        if axes is not None and not keepdims:
+        if axes is not None:
             g = np.expand_dims(g, axes)
         x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
-    return _result(x.data.mean(axis=axes, keepdims=keepdims), (x,), "mean", backward)
+    return _result(x.data.mean(axis=axes), (x,), "mean", backward)
 
 
 # -- structural ops ----------------------------------------------------------
 
 
-def transpose(x, axes=None) -> Tensor:
-    x = _as_tensor(x)
-    perm = tuple(axes) if axes is not None else tuple(range(x.ndim))[::-1]
+def transpose(x: Tensor, axes) -> Tensor:
+    perm = tuple(axes)
     return _result(np.ascontiguousarray(x.data.transpose(perm)), (x,), "transpose",
                    lambda g: x._accumulate(g.transpose(np.argsort(perm))))
 
 
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
+def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), "reshape",
                    lambda g: x._accumulate(g.reshape(x.shape)))
 
 
-def narrow(x, key) -> Tensor:
+def narrow(x: Tensor, key) -> Tensor:
     """Basic slicing / integer indexing with gradient routing."""
-    x = _as_tensor(x)
     def backward(g):
         gx = np.zeros_like(x.data)
         gx[key] += g
@@ -306,7 +291,6 @@ def narrow(x, key) -> Tensor:
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concatenate needs at least one tensor")
     ax = axis % tensors[0].ndim
@@ -321,7 +305,6 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     def backward(g):
         for t, piece in zip(tensors, np.moveaxis(g, axis, 0)):
             if t.requires_grad:
@@ -329,15 +312,13 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(np.stack([t.data for t in tensors], axis=axis), tensors, "stack", backward)
 
 
-def broadcast_to(x, shape) -> Tensor:
-    x = _as_tensor(x)
+def broadcast_to(x: Tensor, shape) -> Tensor:
     return _result(np.ascontiguousarray(np.broadcast_to(x.data, shape)), (x,), "broadcast",
                    lambda g: x._accumulate(_unbroadcast(g, x.shape)))
 
 
-def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
+def pad_axis(x: Tensor, axis: int, before: int, after: int) -> Tensor:
     """Zero-pad one axis; gradient is the central crop."""
-    x = _as_tensor(x)
     if before < 0 or after < 0:
         raise ShapeError(f"negative padding ({before}, {after})")
     widths = [(0, 0)] * x.ndim
@@ -350,9 +331,8 @@ def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
     return _result(np.pad(x.data, widths), (x,), "pad", backward)
 
 
-def take_rows(table, index: np.ndarray) -> Tensor:
+def take_rows(table: Tensor, index: np.ndarray) -> Tensor:
     """Gather ``table[index]`` for an integer index array; scatter-add backward."""
-    table = _as_tensor(table)
     idx = np.asarray(index)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("take_rows index must be an integer array")
@@ -381,9 +361,8 @@ def _fold_windows(g: np.ndarray, length: int, step: int) -> np.ndarray:
     return out
 
 
-def unfold_windows(x, size: int, step: int) -> Tensor:
+def unfold_windows(x: Tensor, size: int, step: int) -> Tensor:
     """Overlapping windows of a [B, N, D] tensor along axis 1 -> [B, M, size, D]."""
-    x = _as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"unfold_windows expects [B, N, D], got {x.shape}")
     n = x.shape[1]
@@ -424,44 +403,48 @@ def write_weights(path, tensors: Mapping[str, "Tensor | np.ndarray"]) -> None:
             fh.write(data.tobytes())
 
 
-def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file: expected {n} bytes for {what} at byte {offset}")
-    return buf
+class _Reader:
+    """Exact reads from the start of an open binary file, tracking the byte offset.
+    A length beyond the bytes left is refused before anything is allocated, so a
+    corrupt length field is a FormatError, not a MemoryError."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
+        self.offset = 0
+
+    def read(self, n: int, what: str) -> bytes:
+        buf = self.fh.read(n) if n <= self.size - self.offset else b""
+        if len(buf) != n:
+            raise FormatError(f"truncated file: expected {n} bytes for {what} at byte {self.offset}")
+        self.offset += n
+        return buf
 
 
 def read_weights(path) -> dict[str, np.ndarray]:
     """Read a weight file back into name -> float32 array."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        offset = 0
-        magic = _read_exact(fh, 4, offset, "magic")
+        r = _Reader(fh)
+        magic = r.read(4, "magic")
         if magic != WEIGHTS_MAGIC:
             raise FormatError(f"bad magic {magic!r} at byte 0, expected {WEIGHTS_MAGIC!r}")
-        offset += 4
-        version, count = struct.unpack("<II", _read_exact(fh, 8, offset, "header"))
+        version, count = struct.unpack("<II", r.read(8, "header"))
         if version != WEIGHTS_VERSION:
-            raise FormatError(f"unsupported version {version} at byte {offset}")
-        offset += 8
-        for i in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, offset, "name length"))
-            offset += 2
+            raise FormatError(f"unsupported version {version} at byte 4")
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", r.read(2, "name length"))
+            at = r.offset
             try:
-                name = _read_exact(fh, nlen, offset, "name").decode("utf-8")
+                name = r.read(nlen, "name").decode("utf-8")
             except UnicodeDecodeError:
-                raise FormatError(f"tensor name at byte {offset} is not valid UTF-8") from None
+                raise FormatError(f"tensor name at byte {at} is not valid UTF-8") from None
             if name in out:
-                raise FormatError(f"duplicate tensor name {name!r} at byte {offset}")
-            offset += nlen
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, offset, "rank"))
-            offset += 1
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, offset, "extents"))
-            offset += 4 * rank
-            nbytes = 4 * int(np.prod(shape, dtype=np.int64)) if rank else 4
-            raw = _read_exact(fh, nbytes, offset, f"data of {name!r}")
-            offset += nbytes
+                raise FormatError(f"duplicate tensor name {name!r} at byte {at}")
+            (rank,) = struct.unpack("<B", r.read(1, "rank"))
+            shape = struct.unpack(f"<{rank}I", r.read(4 * rank, "extents"))
+            raw = r.read(4 * math.prod(shape), f"data of {name!r}")
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-        if fh.read(1):
-            raise FormatError(f"trailing bytes at byte {offset} after {count} tensors")
+        if r.offset < r.size:
+            raise FormatError(f"trailing bytes at byte {r.offset} after {count} tensors")
     return out

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lganet import attention as A
 from lganet.errors import ConfigError, ShapeError
 from lganet.gradcheck import _weighted_sum, max_rel_error
-from lganet.ops import conv1d, layer_norm
+from lganet.ops import LAYER_NORM_EPS, conv1d, layer_norm
 from lganet.tensor import Tensor, stack, tsum
 
 R64 = dict(dtype="f64")
@@ -204,7 +204,7 @@ def test_all_equal_keys_attend_to_value_mean():
 
 def numpy_lga_oracle(x, cfg, w):
     """Step-by-step plain-numpy recomputation of the whole layer."""
-    gamma, beta, eps = w.norm.gamma.data, w.norm.beta.data, w.norm.epsilon
+    gamma, beta, eps = w.norm.gamma.data, w.norm.beta.data, LAYER_NORM_EPS
     mu = x.mean(-1, keepdims=True)
     var = ((x - mu) ** 2).mean(-1, keepdims=True)
     xn = gamma * (x - mu) / np.sqrt(var + eps) + beta

@@ -10,6 +10,7 @@ from lganet import cli, ops
 from lganet.cli import main, parse_run_config
 from lganet.data import read_dataset, read_dataset_header
 from lganet.errors import ConfigError, FormatError
+from lganet.gradcheck import DEFAULT_TOL
 from lganet.model import Model, ModelConfig
 
 MICRO_CONFIG = {
@@ -270,6 +271,10 @@ def test_gradcheck_command_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max_rel_err" in out and "FAIL" not in out
     assert "model_end_to_end" in out
+
+
+def test_gradcheck_tol_defaults_to_the_library_tolerance():
+    assert cli.build_parser().parse_args(["gradcheck"]).tol == DEFAULT_TOL
 
 
 def test_gradcheck_reports_corrupted_backward(monkeypatch, capsys):

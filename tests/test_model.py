@@ -137,7 +137,7 @@ def test_weight_layout_is_pinned(variant, layout, tensors, values):
 
 
 def test_paper_default_parameter_count():
-    assert Model(ModelConfig.create()).count_parameters() == 1_065_814
+    assert count_parameters(Model(ModelConfig.create()).parameters()) == 1_065_814
 
 
 def test_forward_shape_trace_default_model():
@@ -182,7 +182,7 @@ def test_count_parameters_matches_serialized_file(tmp_path):
     path = tmp_path / "m.lgaw"
     model.save(path)
     stored = read_weights(path)
-    assert sum(arr.size for arr in stored.values()) == model.count_parameters()
+    assert sum(arr.size for arr in stored.values()) == count_parameters(model.parameters())
 
 
 def test_save_load_roundtrip_preserves_outputs(tmp_path):
@@ -277,3 +277,11 @@ def test_miniature_end_to_end_gradient_check():
     assert (cfg.leads, cfg.input_len, cfg.embed_dim, cfg.heads, cfg.num_stages) == (2, 64, 8, 2, 2)
     err = model_check(cfg, seed=0)
     assert err <= 1e-3
+
+
+def test_local_qkv_relative_window_longer_than_stage_input():
+    # stage 2 receives 2 positions and each window spans 4: the key offsets clip into
+    # the relative table, and only the input length is held to its capacity
+    cfg = ModelConfig.create(**MINI_CONFIG, variant=A.VARIANT_LOCAL_QKV, pos_encoding=A.PE_RELATIVE)
+    assert cfg.window_len > cfg.stage_len(2)
+    assert model_check(cfg, seed=0) <= 1e-3
