@@ -72,7 +72,10 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         raise ShapeError(f"conv1d input has {c} channels, params expect {c_in}")
     pad = p.padding
     l_out = conv_out_len(length, k, 1, pad)
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0))) if pad else x.data
+    xp = x.data
+    if pad:
+        xp = np.zeros((b, length + 2 * pad, c), x.dtype)
+        xp[:, pad : pad + length] = x.data
     # k-major im2col, one matmul for every output position: in channels-last an
     # output's k x C patch is contiguous, so rows copy whole; weight read as [out, k, in]
     cols = _window_view(xp, k, 1).reshape(b * l_out, k * c)

@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError, GraphError, NumericsError, ShapeError
 
@@ -145,7 +146,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], op: str,
             backward: Callable[[np.ndarray], None]) -> Tensor:
     """The output of ``op`` on ``parents``, and the only code that records a graph
     node: when ``_records(parents)``, the node's backward runs ``backward(out.grad)``."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         shapes = ", ".join(str(p.shape) for p in parents)
         raise NumericsError(f"non-finite values produced by op '{op}' on inputs of shape {shapes}")
     out = Tensor.__new__(Tensor)
@@ -321,14 +322,13 @@ def pad_axis(x: Tensor, axis: int, before: int, after: int) -> Tensor:
     """Zero-pad one axis; gradient is the central crop."""
     if before < 0 or after < 0:
         raise ShapeError(f"negative padding ({before}, {after})")
-    widths = [(0, 0)] * x.ndim
     ax = axis % x.ndim
-    widths[ax] = (before, after)
-    def backward(g):
-        sl = [slice(None)] * x.ndim
-        sl[ax] = slice(before, before + x.shape[ax])
-        x._accumulate(g[tuple(sl)])
-    return _result(np.pad(x.data, widths), (x,), "pad", backward)
+    shape = list(x.shape)
+    shape[ax] += before + after
+    inner = (slice(None),) * ax + (slice(before, before + x.shape[ax]),)
+    out = np.zeros(shape, x.dtype)
+    out[inner] = x.data
+    return _result(out, (x,), "pad", lambda g: x._accumulate(g[inner]))
 
 
 def take_rows(table: Tensor, index: np.ndarray) -> Tensor:
@@ -346,8 +346,12 @@ def take_rows(table: Tensor, index: np.ndarray) -> Tensor:
 
 
 def _window_view(x: np.ndarray, size: int, step: int) -> np.ndarray:
-    """[B, L, C] -> strided view [B, L_out, size, C] of sliding windows along axis 1."""
-    return np.lib.stride_tricks.sliding_window_view(x, size, axis=1)[:, ::step].swapaxes(2, 3)
+    """[B, L, C] -> read-only strided view [B, L_out, size, C] of the windows of
+    ``size`` along axis 1, ``step`` apart; the caller checks ``size <= L``."""
+    b, length, c = x.shape
+    s0, s1, s2 = x.strides
+    return as_strided(x, (b, (length - size) // step + 1, size, c), (s0, step * s1, s1, s2),
+                      writeable=False)
 
 
 def _fold_windows(g: np.ndarray, length: int, step: int) -> np.ndarray:
@@ -381,7 +385,8 @@ WEIGHTS_VERSION = 1
 
 
 def write_weights(path, tensors: Mapping[str, "Tensor | np.ndarray"]) -> None:
-    """Write named tensors as little-endian binary, values stored as float32."""
+    """Write named tensors as little-endian binary, values stored as float32; a
+    value that is not finite in float32 is refused before the file is opened."""
     entries = []
     for name in sorted(tensors):  # before opening, so a bad entry leaves the file alone
         arr = tensors[name]
@@ -391,7 +396,11 @@ def write_weights(path, tensors: Mapping[str, "Tensor | np.ndarray"]) -> None:
             raise FormatError(f"tensor name too long: {name!r}")
         if data.ndim > 0xFF:
             raise FormatError(f"tensor rank {data.ndim} exceeds format limit")
-        entries.append((raw, np.asarray(data, dtype="<f4")))
+        with np.errstate(over="ignore"):  # a value beyond float32's range is refused below
+            stored = np.asarray(data, dtype="<f4")
+        if not np.isfinite(stored).all():
+            raise FormatError(f"tensor {name!r} holds values that are not finite in float32")
+        entries.append((raw, stored))
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<II", WEIGHTS_VERSION, len(entries)))
@@ -422,7 +431,8 @@ class _Reader:
 
 
 def read_weights(path) -> dict[str, np.ndarray]:
-    """Read a weight file back into name -> float32 array."""
+    """Read a weight file back into name -> float32 array; a non-finite value is a
+    FormatError naming the tensor and the byte offset of its data."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         r = _Reader(fh)
@@ -443,8 +453,11 @@ def read_weights(path) -> dict[str, np.ndarray]:
                 raise FormatError(f"duplicate tensor name {name!r} at byte {at}")
             (rank,) = struct.unpack("<B", r.read(1, "rank"))
             shape = struct.unpack(f"<{rank}I", r.read(4 * rank, "extents"))
-            raw = r.read(4 * math.prod(shape), f"data of {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+            at = r.offset
+            data = np.frombuffer(r.read(4 * math.prod(shape), f"data of {name!r}"), dtype="<f4")
+            if not np.isfinite(data).all():
+                raise FormatError(f"tensor {name!r} data at byte {at} holds non-finite values")
+            out[name] = data.reshape(shape).astype(np.float32)
         if r.offset < r.size:
             raise FormatError(f"trailing bytes at byte {r.offset} after {count} tensors")
     return out

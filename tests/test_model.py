@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lganet import attention as A
-from lganet.errors import ConfigError
+from lganet.errors import ConfigError, FormatError
 from lganet.gradcheck import MINI_CONFIG, model_check
 from lganet.model import Model, ModelConfig, ResBlock, count_parameters
 from lganet.ops import layer_norm, linear_params, max_pool1d, relu
@@ -195,6 +195,18 @@ def test_save_load_roundtrip_preserves_outputs(tmp_path):
     assert loaded.config == model.config
     after = loaded.forward(x).data
     assert np.array_equal(before, after)
+
+
+def test_load_rejects_a_non_finite_weight_by_name(tmp_path):
+    model = tiny_model(seed=9, precision="f32")
+    path = tmp_path / "m.lgaw"
+    model.save(path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"head.bias") + len("head.bias") + 1 + 4  # name, rank, one extent
+    raw[at : at + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"tensor 'head.bias' data at byte {at} holds non-finite"):
+        Model.load(path)
 
 
 def test_forward_deterministic_for_fixed_weights():

@@ -131,6 +131,12 @@ def test_non_finite_result_raises():
         T.mul(big, big)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_each_non_finite_output_raises(bad):
+    with pytest.raises(NumericsError, match=r"op 'mul_scalar' on inputs of shape \(2,\)$"):
+        T.mul(Tensor([1.0, 2.0], dtype="f64"), bad)
+
+
 # op -> (input shapes, the op applied to tensors of those shapes)
 RECORDING_CASES = {
     "add": ([(2, 3), (3,)], T.add),
@@ -228,6 +234,47 @@ def test_pad_axis_values_and_gradient():
     assert x.grad.tolist() == [[1.0, 1.0]]
 
 
+def _pull_back(y: Tensor, seed: int) -> np.ndarray:
+    """A fixed cotangent for ``y``, so ``backward`` hands each input its vector-Jacobian product."""
+    g = np.random.default_rng(seed).uniform(-1, 1, y.shape).astype(y.dtype)
+    T.tsum(T.mul(y, Tensor(g))).backward()
+    return g
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("before, after, axis", [(1, 1, 1), (2, 3, 1), (3, 0, -1), (0, 2, 0)])
+def test_pad_axis_matches_np_pad(dtype, before, after, axis):
+    x = Tensor(np.random.default_rng(4).uniform(-1, 1, (2, 5, 3)), requires_grad=True, dtype=dtype)
+    y = T.pad_axis(x, axis, before, after)
+    widths = [(0, 0)] * 3
+    widths[axis] = (before, after)
+    assert y.dtype == x.dtype and np.array_equal(y.data, np.pad(x.data, widths))
+    g = _pull_back(y, seed=5)
+    inner = [slice(None)] * 3
+    inner[axis] = slice(before, before + x.shape[axis])
+    assert np.array_equal(x.grad, g[tuple(inner)])
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("padding", [1, 2, 3])
+def test_conv1d_padding_matches_an_np_pad_input(dtype, padding):
+    """A padded conv is the unpadded conv of the np.pad-ed input, bit for bit, and its
+    input gradient is the central crop of that input's gradient."""
+    rng = np.random.default_rng(padding)
+    p = ops.Conv1dParams.create(3, 4, 5, padding, rng, dtype=dtype)
+    x = Tensor(rng.uniform(-1, 1, (2, 7, 3)), requires_grad=True, dtype=dtype)
+    y = ops.conv1d(x, p)
+    _pull_back(y, seed=6)
+    got = (y.data, x.grad, p.weight.grad, p.bias.grad)
+    p.weight.grad = p.bias.grad = None
+    ref_x = Tensor(np.pad(x.data, ((0, 0), (padding, padding), (0, 0))), requires_grad=True)
+    ref = ops.conv1d(ref_x, ops.Conv1dParams(p.weight, p.bias, 0))
+    _pull_back(ref, seed=6)
+    want = (ref.data, ref_x.grad[:, padding:-padding], p.weight.grad, p.bias.grad)
+    for a, b in zip(got, want):
+        assert a.dtype == x.dtype and np.array_equal(a, b)
+
+
 def test_unfold_windows_values():
     x = Tensor(np.arange(8.0).reshape(1, 8, 1))
     win = T.unfold_windows(x, 4, 2)
@@ -245,6 +292,22 @@ def test_fold_windows_is_the_adjoint_of_window_view(b, length, c, size, step, se
     view = T._window_view(x, size, step)
     g = rng.uniform(-1, 1, view.shape)
     assert abs(np.vdot(view, g) - np.vdot(x, T._fold_windows(g, length, step))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), length=st.integers(1, 12), c=st.integers(1, 3),
+       size=st.integers(1, 5), step=st.integers(1, 4), seed=st.integers(0, 2**16),
+       dtype=st.sampled_from([np.float32, np.float64]), every_other=st.booleans())
+def test_window_view_matches_the_sliding_window_view_oracle(b, length, c, size, step, seed,
+                                                            dtype, every_other):
+    assume(size <= length)
+    wide = np.random.default_rng(seed).uniform(-1, 1, (b, length, 2 * c)).astype(dtype)
+    x = wide[:, :, ::2] if every_other else np.ascontiguousarray(wide[:, :, :c])
+    view = T._window_view(x, size, step)
+    oracle = np.lib.stride_tricks.sliding_window_view(x, size, axis=1)[:, ::step].swapaxes(2, 3)
+    assert view.dtype == x.dtype and view.shape == oracle.shape
+    assert np.array_equal(view, oracle)
+    assert not view.flags.writeable
 
 
 def test_take_rows_gathers_and_scatters():
@@ -336,6 +399,27 @@ def test_failed_weight_write_leaves_existing_file_alone(tmp_path):
         with pytest.raises(error):
             T.write_weights(path, bad)
         assert path.read_bytes() == before
+
+
+def test_weight_file_non_finite_value_names_the_tensor_and_offset(tmp_path):
+    path = tmp_path / "w.lgaw"
+    T.write_weights(path, {"head.bias": np.zeros(3, np.float32), "head.weight": np.ones((2, 3), np.float32)})
+    raw = bytearray(path.read_bytes())
+    # header (12) + name length (2) + "head.bias" (9) + rank (1) + extent (4): data at byte 28
+    raw[32:36] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="tensor 'head.bias' data at byte 28 holds non-finite values"):
+        T.read_weights(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "+inf", "-inf", "f32-overflow"])
+def test_non_finite_weight_write_leaves_existing_file_alone(tmp_path, bad):
+    path = tmp_path / "w.lgaw"
+    T.write_weights(path, {"a": np.ones(4, dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(FormatError, match="tensor 'head.bias' holds values that are not finite"):
+        T.write_weights(path, {"a": np.zeros(4), "head.bias": np.array([0.0, bad])})
+    assert path.read_bytes() == before
 
 
 def test_weight_file_bad_magic(tmp_path):
