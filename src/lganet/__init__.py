@@ -47,7 +47,6 @@ from .errors import (  # noqa: E402
 from .model import Model, ModelConfig, count_parameters  # noqa: E402
 from .tensor import Tensor, no_grad, read_weights, write_weights  # noqa: E402
 from .training import (  # noqa: E402
-    EarlyStopping,
     MetricsReport,
     OptimState,
     ScheduleSpec,
@@ -60,7 +59,7 @@ from .training import (  # noqa: E402
 )
 
 __all__ = [
-    "ConfigError", "EarlyStopping", "EcgRecord", "FormatError", "GraphError",
+    "ConfigError", "EcgRecord", "FormatError", "GraphError",
     "LgaConfig", "LgaWeights", "LganetError", "MetricsReport", "Model",
     "ModelConfig", "NumericsError", "OptimState", "POS_ENCODINGS",
     "ScheduleSpec", "ShapeError", "SplitSpec", "Tensor", "TrainSpec",

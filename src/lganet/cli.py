@@ -25,6 +25,7 @@ from .data import (
     SplitSpec,
     class_names,
     read_dataset,
+    read_dataset_header,
     split_by_patient,
     synth_dataset,
     write_dataset,
@@ -153,11 +154,18 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _load_records(path):
+def _load_records(path, config: ModelConfig):
+    """Read a dataset once its header shows it fits the model it will feed."""
     if path is None:
         raise ConfigError("no dataset path given (config data.dataset or --data)")
     if not os.path.exists(path):
         raise ConfigError(f"dataset file not found: {path}")
+    head = read_dataset_header(path)
+    found = (head["leads"], head["length"], head["classes"])
+    wanted = (config.leads, config.input_len, config.num_classes)
+    if head["records"] and found != wanted:
+        raise ConfigError(f"dataset {path} has (leads, length, classes) = {found}, "
+                          f"but the model takes {wanted}")
     return read_dataset(path)
 
 
@@ -176,7 +184,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    tr, val, _dev = split_by_patient(_load_records(cfg.dataset), cfg.split, require_nonempty=True)
+    tr, val, _dev = split_by_patient(_load_records(cfg.dataset, cfg.model), cfg.split, require_nonempty=True)
     model = Model(cfg.model, seed=cfg.train.seed)
     log = train(model, tr, val, cfg.train, verbose=args.verbose)
     out_dir = Path(args.out)
@@ -199,7 +207,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     TrainSpec(threshold=args.threshold).validate()
     model = Model.load(args.weights, precision=args.precision)
-    records = _load_records(args.data)
+    records = _load_records(args.data, model.config)
     report = evaluate(model, records, threshold=args.threshold)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -229,7 +237,7 @@ def _ablation_values(axis: str, values: str | None):
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     settings = _ablation_values(args.axis, args.values)
-    records = _load_records(cfg.dataset)
+    records = _load_records(cfg.dataset, cfg.model)
     tr, val, dev = split_by_patient(records, cfg.split, require_nonempty=True)
     rows = []
     for knob, value in settings:

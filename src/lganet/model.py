@@ -259,4 +259,4 @@ class Model:
 
 def count_parameters(params: Mapping[str, Tensor]) -> int:
     """Total element count across a named parameter mapping."""
-    return sum(int(np.prod(t.shape, dtype=np.int64)) if t.ndim else 1 for t in params.values())
+    return sum(t.size for t in params.values())

@@ -74,19 +74,17 @@ class OptimState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    weight_decay: float = TrainSpec.weight_decay
 
     @classmethod
-    def create(cls, params: dict[str, Tensor],
-               weight_decay: float = TrainSpec.weight_decay) -> "OptimState":
+    def create(cls, params: dict[str, Tensor]) -> "OptimState":
         return cls(
             m={k: np.zeros_like(p.data) for k, p in params.items()},
             v={k: np.zeros_like(p.data) for k, p in params.items()},
-            weight_decay=weight_decay,
         )
 
 
-def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
+def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float,
+               weight_decay: float) -> None:
     """One update; weight decay is applied directly to the weights (decoupled)."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
@@ -97,8 +95,8 @@ def adamw_step(params: dict[str, Tensor], state: OptimState, lr: float) -> None:
             continue
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
-        if state.weight_decay:
-            p.data -= lr * state.weight_decay * p.data
+        if weight_decay:
+            p.data -= lr * weight_decay * p.data
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
@@ -119,39 +117,18 @@ def cosine_lr(epoch: int, spec: ScheduleSpec) -> float:
     return spec.lr_end + 0.5 * (spec.lr_start - spec.lr_end) * (1.0 + math.cos(math.pi * epoch / last))
 
 
-class EarlyStopping:
-    """Stop once `patience` consecutive epochs fail to improve the best loss."""
-
-    def __init__(self, patience: int = TrainSpec.patience):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch = -1
-        self.stale = 0
-
-    def update(self, loss: float, epoch: int) -> bool:
-        """Record one validation loss; returns True when this is a new best."""
-        if loss < self.best:
-            self.best = loss
-            self.best_epoch = epoch
-            self.stale = 0
-            return True
-        self.stale += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.stale >= self.patience
-
-
 def should_stop(val_history: Sequence[float], patience: int = TrainSpec.patience) -> bool:
-    """Pure check over a loss history: did the last run of non-improvements reach patience?"""
-    stopper = EarlyStopping(patience)
-    for epoch, loss in enumerate(val_history):
-        stopper.update(float(loss), epoch)
-        if stopper.should_stop:
-            return True
+    """Did `patience` consecutive losses in the history fail to improve the best before them?"""
+    if patience < 1:
+        raise ConfigError(f"patience must be >= 1, got {patience}")
+    best, stale = math.inf, 0
+    for loss in val_history:
+        if loss < best:
+            best, stale = loss, 0
+        else:
+            stale += 1
+            if stale >= patience:
+                return True
     return False
 
 
@@ -193,18 +170,6 @@ class MetricsReport:
         return float(np.mean([getattr(c, attr) for c in self.classes])) if self.classes else 0.0
 
     @property
-    def macro_accuracy(self) -> float:
-        return self._macro("accuracy")
-
-    @property
-    def macro_precision(self) -> float:
-        return self._macro("precision")
-
-    @property
-    def macro_recall(self) -> float:
-        return self._macro("recall")
-
-    @property
     def macro_f1(self) -> float:
         return self._macro("f1")
 
@@ -217,8 +182,7 @@ class MetricsReport:
                  "recall": c.recall, "f1": c.f1}
                 for c in self.classes
             ],
-            "macro": {"accuracy": self.macro_accuracy, "precision": self.macro_precision,
-                      "recall": self.macro_recall, "f1": self.macro_f1},
+            "macro": {attr: self._macro(attr) for attr in ("accuracy", "precision", "recall", "f1")},
         }
 
 
@@ -279,9 +243,8 @@ def train(model: Model, train_records: Sequence[EcgRecord], val_records: Sequenc
     if not train_records or not val_records:
         raise ConfigError("training needs non-empty train and validation sets")
     params = model.parameters()
-    state = OptimState.create(params, weight_decay=spec.weight_decay)
-    stopper = EarlyStopping(spec.patience)
-    best_state = model.state_snapshot()
+    state = OptimState.create(params)
+    best_loss, best_state = math.inf, model.state_snapshot()
     log: list[EpochLog] = []
     for epoch in range(spec.schedule.total_epochs):
         lr = cosine_lr(epoch, spec.schedule)
@@ -291,7 +254,7 @@ def train(model: Model, train_records: Sequence[EcgRecord], val_records: Sequenc
                              shuffle_seed=spec.seed + epoch, dtype=model.dtype):
             loss = bce_loss(model.forward(batch.signal), batch.labels)
             loss.backward()
-            adamw_step(params, state, lr)
+            adamw_step(params, state, lr, spec.weight_decay)
             running += loss.item() * batch.labels.size
             seen += batch.labels.size
         report = evaluate(model, val_records, spec.threshold, spec.batch_size)
@@ -300,9 +263,9 @@ def train(model: Model, train_records: Sequence[EcgRecord], val_records: Sequenc
         if verbose:
             print(f"epoch {epoch:3d} lr {lr:.3e} train {running / seen:.4f} "
                   f"val {val:.4f} macroF1 {report.macro_f1:.4f}", flush=True)
-        if stopper.update(val, epoch):
-            best_state = model.state_snapshot()
-        if stopper.should_stop:
+        if val < best_loss:
+            best_loss, best_state = val, model.state_snapshot()
+        if should_stop([row.val_loss for row in log], spec.patience):
             break
         if spec.stop_macro_f1 is not None and report.macro_f1 >= spec.stop_macro_f1:
             best_state = model.state_snapshot()

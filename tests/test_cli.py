@@ -162,6 +162,30 @@ def test_eval_malformed_sidecar_exits_2(tmp_path, capsys, model):
     assert str(sidecar) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("shape, found", [
+    (["--leads", "3", "--classes", "4"], "(3, 256, 4)"),
+    (["--leads", "2", "--classes", "6"], "(2, 256, 6)"),
+], ids=["4-class", "2-lead"])
+def test_dataset_that_does_not_fit_the_model_exits_2_before_reading_records(
+        tmp_path, capsys, monkeypatch, command, shape, found):
+    data = tmp_path / "other.lgae"
+    assert main(["synth", "--n", "8", "--out", str(data), "--length", "256"] + shape) == 0
+    if command == "train":
+        argv = ["train", "--config", str(write_config(tmp_path, dataset=data)),
+                "--out", str(tmp_path / "run")]
+    else:
+        argv = ["eval", "--weights", str(saved_model(tmp_path)), "--data", str(data)]
+
+    def no_record_reads(path):
+        raise AssertionError("records were read")
+    monkeypatch.setattr(cli, "read_dataset", no_record_reads)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"has (leads, length, classes) = {found}, but the model takes (3, 256, 6)" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_threshold_out_of_range_exits_2(tmp_path, capsys):
     weights, data = saved_model(tmp_path), make_dataset(tmp_path, n=8)
     assert main(["eval", "--weights", str(weights), "--data", str(data),

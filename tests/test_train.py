@@ -14,7 +14,6 @@ from lganet.errors import ConfigError
 from lganet.model import Model, ModelConfig
 from lganet.tensor import Tensor
 from lganet.training import (
-    EarlyStopping,
     OptimState,
     ScheduleSpec,
     TrainSpec,
@@ -71,8 +70,8 @@ def test_adamw_single_step_hand_computed():
     p = Tensor([1.0], dtype="f64")
     p.grad = np.array([1.0])
     params = {"p": p}
-    state = OptimState.create(params, weight_decay=0.0)
-    adamw_step(params, state, lr=0.1)
+    state = OptimState.create(params)
+    adamw_step(params, state, lr=0.1, weight_decay=0.0)
     # bias-corrected m-hat = v-hat = 1 -> update = lr * 1/(1+eps)
     assert abs(p.data[0] - (1.0 - 0.1 / (1.0 + 1e-8))) <= 1e-12
 
@@ -81,21 +80,21 @@ def test_adamw_zero_gradient_leaves_parameters():
     p = Tensor([2.0, -3.0], dtype="f64")
     p.grad = np.zeros(2)
     params = {"p": p}
-    state = OptimState.create(params, weight_decay=0.0)
+    state = OptimState.create(params)
     for _ in range(5):
         p.grad = np.zeros(2)
-        adamw_step(params, state, lr=0.5)
+        adamw_step(params, state, lr=0.5, weight_decay=0.0)
     assert np.array_equal(p.data, [2.0, -3.0])
 
 
 def test_adamw_pure_decay_shrinks_multiplicatively():
     p = Tensor([4.0], dtype="f64")
     params = {"p": p}
-    state = OptimState.create(params, weight_decay=0.1)
+    state = OptimState.create(params)
     expected = 4.0
     for _ in range(3):
         p.grad = np.zeros(1)
-        adamw_step(params, state, lr=0.5)
+        adamw_step(params, state, lr=0.5, weight_decay=0.1)
         expected *= 1.0 - 0.5 * 0.1
     assert abs(p.data[0] - expected) <= 1e-12
 
@@ -105,13 +104,13 @@ def test_adamw_with_zero_decay_matches_scalar_adam_oracle():
     grads = rng.uniform(-1, 1, 10)
     p = Tensor([0.7], dtype="f64")
     params = {"p": p}
-    state = OptimState.create(params, weight_decay=0.0)
+    state = OptimState.create(params)
     # hand-rolled float64 Adam
     theta, m, v = 0.7, 0.0, 0.0
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
     for t, g in enumerate(grads, start=1):
         p.grad = np.array([g])
-        adamw_step(params, state, lr)
+        adamw_step(params, state, lr, weight_decay=0.0)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
@@ -124,7 +123,7 @@ def test_adamw_shape_mismatch_rejected():
     p.grad = np.zeros(3)
     state = OptimState.create({"p": p})
     with pytest.raises(ShapeError):
-        adamw_step({"p": p}, state, 0.1)
+        adamw_step({"p": p}, state, 0.1, weight_decay=0.0)
 
 
 # -- schedule ---------------------------------------------------------------------
@@ -170,11 +169,15 @@ def test_early_stopping_counter_resets_on_improvement():
 
 
 def test_early_stopping_tracks_best_epoch():
-    stopper = EarlyStopping(patience=3)
-    for epoch, loss in enumerate([0.5, 0.4, 0.45, 0.46, 0.47]):
-        stopper.update(loss, epoch)
-    assert stopper.best_epoch == 1
-    assert stopper.should_stop
+    history = [0.5, 0.4, 0.45, 0.46, 0.47]
+    # epoch 1 is the best; the three epochs after it are the stale run
+    assert not should_stop(history[:4], patience=3)
+    assert should_stop(history, patience=3)
+
+
+def test_should_stop_rejects_patience_below_one():
+    with pytest.raises(ConfigError):
+        should_stop([1.0, 1.0], patience=0)
 
 
 # -- metrics -----------------------------------------------------------------------
@@ -193,8 +196,8 @@ def test_metrics_hand_counted_example():
 def test_metrics_perfect_predictor():
     lab = (np.random.default_rng(2).random((20, 4)) < 0.5).astype(int)
     rep = compute_metrics(lab.astype(bool), lab)
-    assert rep.macro_f1 == 1.0 and rep.macro_accuracy == 1.0
-    assert rep.macro_precision == 1.0 and rep.macro_recall == 1.0
+    assert rep.macro_f1 == 1.0
+    assert rep.to_dict()["macro"] == {"accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
 def test_metrics_zero_over_zero_conventions():
@@ -256,13 +259,13 @@ def test_evaluate_empty_dataset_rejected():
 def overfit_batch(model, records, steps, lr):
     from lganet.data import batches
     params = model.parameters()
-    state = OptimState.create(params, weight_decay=0.0)
+    state = OptimState.create(params)
     losses = []
     for _ in range(steps):
         batch = next(batches(records, len(records), shuffle_seed=None, dtype=model.dtype))
         loss = bce_loss(model.forward(batch.signal), batch.labels)
         loss.backward()
-        adamw_step(params, state, lr)
+        adamw_step(params, state, lr, weight_decay=0.0)
         losses.append(loss.item())
     return losses
 
@@ -330,6 +333,21 @@ def test_train_restores_best_epoch_weights():
     best_epoch = min(log, key=lambda row: row.val_loss)
     got = TR.validation_loss(model, val, spec.batch_size)
     assert abs(got - best_epoch.val_loss) <= 1e-12
+
+
+def test_train_stops_at_the_first_stale_run_and_restores_the_best_epoch():
+    records = synth_dataset(30, 6, seed=13, leads=3, length=256)
+    tr, val, _ = split_by_patient(records, SplitSpec(0.7, 0.2, 0.1, seed=1))
+    epochs = 8
+    spec = TrainSpec(schedule=ScheduleSpec(3e-2, 3e-2, epochs), batch_size=8, seed=5, patience=2)
+    model = micro_model(seed=14, precision="f64")
+    log = train(model, tr, val, spec)
+    history = [row.val_loss for row in log]
+    assert len(log) < epochs
+    assert len(log) == next(n for n in range(1, epochs + 1) if should_stop(history[:n], spec.patience))
+    best = min(log, key=lambda row: row.val_loss)
+    assert best is not log[-1]
+    assert abs(TR.validation_loss(model, val, spec.batch_size) - best.val_loss) <= 1e-12
 
 
 def test_train_rejects_empty_sets():
