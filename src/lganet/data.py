@@ -31,9 +31,9 @@ class EcgRecord:
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if self.signal.ndim != 2:
             raise ConfigError(f"record signal must be [C, N], got {self.signal.shape}")
-        if not np.all(np.isfinite(self.signal)):
+        if not np.isfinite(self.signal).all():
             raise ConfigError("record signal contains non-finite values")
-        if self.labels.ndim != 1 or not np.all((self.labels == 0) | (self.labels == 1)):
+        if self.labels.ndim != 1 or not (self.labels <= 1).all():
             raise ConfigError("record labels must be a 0/1 vector")
 
 
@@ -74,8 +74,8 @@ def write_dataset(records: Sequence[EcgRecord], path, sample_rate: int = DEFAULT
         fh.write(struct.pack("<IIIIII", DATASET_VERSION, len(records), c, n, k, sample_rate))
         for rec in records:
             fh.write(struct.pack("<Q", rec.patient_id))
-            fh.write(rec.labels.astype(np.uint8).tobytes())
-            fh.write(np.ascontiguousarray(rec.signal, dtype="<f4").tobytes())
+            fh.write(np.asarray(rec.labels, dtype=np.uint8, order="C"))
+            fh.write(np.asarray(rec.signal, dtype="<f4", order="C"))
 
 
 def _read_header(r: _Reader) -> dict:
@@ -90,29 +90,43 @@ def _read_header(r: _Reader) -> dict:
             "classes": k, "sample_rate_hz": rate}
 
 
+def _check_size(r: _Reader, count: int, c: int, n: int, k: int) -> None:
+    """Check the file size against the header, naming the record field a short
+    file cuts off, so that no record is allocated for a file that cannot hold it."""
+    fields = ((8, "patient id"), (k, "labels"), (4 * c * n, "signal"))
+    block = sum(size for size, _ in fields)
+    end = r.offset + count * block
+    if r.size > end:
+        raise FormatError(f"trailing bytes at byte {end} after {count} records")
+    if r.size < end:
+        i, into = divmod(r.size - r.offset, block)
+        for size, what in fields:
+            if into < size:
+                raise FormatError(f"truncated file: expected {size} bytes for record {i} {what} "
+                                  f"at byte {r.size - into}")
+            into -= size
+
+
 def read_dataset(path) -> list[EcgRecord]:
-    """Read an LGAE file back; raises FormatError with a byte offset on corruption."""
+    """Read an LGAE file back; raises FormatError with a byte offset on corruption.
+    Each record's samples are read straight into their own float32 array."""
     records: list[EcgRecord] = []
     with open(path, "rb") as fh:
         r = _Reader(fh)
         head = _read_header(r)
         count, c, n, k = head["records"], head["leads"], head["length"], head["classes"]
-        sig_bytes = 4 * c * n
+        _check_size(r, count, c, n, k)
         for i in range(count):
-            (patient,) = struct.unpack("<Q", r.read(8, f"record {i} patient id"))
+            fixed = r.read(8 + k, f"record {i} patient id and labels")
             at = r.offset
-            labels = np.frombuffer(r.read(k, f"record {i} labels"), dtype=np.uint8)
-            if not np.all(labels <= 1):
-                raise FormatError(f"record {i} has non-binary labels at byte {at}")
-            at = r.offset
-            signal = np.frombuffer(r.read(sig_bytes, f"record {i} signal"),
-                                   dtype="<f4").reshape(c, n).astype(np.float32)
-            try:  # EcgRecord's own check of the samples, the one not made above
-                records.append(EcgRecord(signal, labels.copy(), int(patient)))
+            signal = r.read_array((c, n), f"record {i} signal")
+            labels = np.frombuffer(fixed, np.uint8, count=k, offset=8).copy()
+            try:  # EcgRecord checks the labels and the samples
+                records.append(EcgRecord(signal, labels, struct.unpack_from("<Q", fixed)[0]))
             except ConfigError as exc:
+                if not (labels <= 1).all():
+                    raise FormatError(f"record {i} has non-binary labels at byte {at - k}") from None
                 raise FormatError(f"record {i} signal at byte {at}: {exc}") from None
-        if r.offset < r.size:
-            raise FormatError(f"trailing bytes at byte {r.offset} after {count} records")
     return records
 
 

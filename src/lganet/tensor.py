@@ -397,7 +397,7 @@ def write_weights(path, tensors: Mapping[str, "Tensor | np.ndarray"]) -> None:
         if data.ndim > 0xFF:
             raise FormatError(f"tensor rank {data.ndim} exceeds format limit")
         with np.errstate(over="ignore"):  # a value beyond float32's range is refused below
-            stored = np.asarray(data, dtype="<f4")
+            stored = np.asarray(data, dtype="<f4", order="C")
         if not np.isfinite(stored).all():
             raise FormatError(f"tensor {name!r} holds values that are not finite in float32")
         entries.append((raw, stored))
@@ -409,7 +409,7 @@ def write_weights(path, tensors: Mapping[str, "Tensor | np.ndarray"]) -> None:
             fh.write(raw)
             fh.write(struct.pack("<B", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
+            fh.write(data)
 
 
 class _Reader:
@@ -422,12 +422,29 @@ class _Reader:
         self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
 
+    def _truncated(self, n: int, what: str) -> FormatError:
+        return FormatError(f"truncated file: expected {n} bytes for {what} at byte {self.offset}")
+
     def read(self, n: int, what: str) -> bytes:
         buf = self.fh.read(n) if n <= self.size - self.offset else b""
         if len(buf) != n:
-            raise FormatError(f"truncated file: expected {n} bytes for {what} at byte {self.offset}")
+            raise self._truncated(n, what)
         self.offset += n
         return buf
+
+    def read_array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Read little-endian float32 values straight into a new array of `shape`."""
+        n = 4 * math.prod(shape)
+        if n > self.size - self.offset:
+            raise self._truncated(n, what)
+        try:
+            out = np.empty(shape, "<f4")
+        except ValueError as exc:  # over 64 extents, or a zero-size shape too large to index
+            raise FormatError(f"{what} at byte {self.offset}: {exc}") from None
+        if self.fh.readinto(out) != n:
+            raise self._truncated(n, what)
+        self.offset += n
+        return out
 
 
 def read_weights(path) -> dict[str, np.ndarray]:
@@ -454,10 +471,10 @@ def read_weights(path) -> dict[str, np.ndarray]:
             (rank,) = struct.unpack("<B", r.read(1, "rank"))
             shape = struct.unpack(f"<{rank}I", r.read(4 * rank, "extents"))
             at = r.offset
-            data = np.frombuffer(r.read(4 * math.prod(shape), f"data of {name!r}"), dtype="<f4")
+            data = r.read_array(shape, f"data of {name!r}")
             if not np.isfinite(data).all():
                 raise FormatError(f"tensor {name!r} data at byte {at} holds non-finite values")
-            out[name] = data.reshape(shape).astype(np.float32)
+            out[name] = data
         if r.offset < r.size:
             raise FormatError(f"trailing bytes at byte {r.offset} after {count} tensors")
     return out

@@ -1,6 +1,9 @@
 """Dataset file format, patient-wise splitting, batching, synthetic generator."""
 
 import hashlib
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +164,88 @@ def test_roundtrip_property(tmp_path_factory, n, seed):
     for a, b in zip(records, back):
         assert a.signal.tobytes() == b.signal.tobytes()
         assert np.array_equal(a.labels, b.labels)
+
+
+def test_huge_declared_dataset_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.lgae"
+    header = struct.pack("<IIIIII", 1, 2**32 - 1, 2**16, 2**16, 6, 400)
+    path.write_bytes((D.DATASET_MAGIC + header).ljust(100, b"\0"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated file: .* for record 0 signal at byte 42"):
+            D.read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_file_one_byte_short_or_long_names_the_offset(tmp_path):
+    path = tmp_path / "d.lgae"
+    D.write_dataset(random_records(2, np.random.default_rng(5)), path)
+    good = path.read_bytes()
+    size = len(good)  # 28 + 2 * (8 + 3 + 4 * 2 * 16)
+    path.write_bytes(good[:-1])
+    with pytest.raises(FormatError, match=f"^truncated file: expected 128 bytes for record 1 "
+                                          f"signal at byte {size - 128}$"):
+        D.read_dataset(path)
+    path.write_bytes(good + b"\0")
+    with pytest.raises(FormatError, match=f"^trailing bytes at byte {size} after 2 records$"):
+        D.read_dataset(path)
+
+
+def test_every_truncation_names_the_field_it_cuts(tmp_path):
+    path = tmp_path / "d.lgae"
+    D.write_dataset(random_records(3, np.random.default_rng(6)), path)
+    good = path.read_bytes()
+    block = 8 + 3 + 4 * 2 * 16
+    for cut in range(28, len(good)):
+        path.write_bytes(good[:cut])
+        with pytest.raises(FormatError) as exc:
+            D.read_dataset(path)
+        m = re.fullmatch(r"truncated file: expected (\d+) bytes for record (\d) (.+) at byte (\d+)",
+                         str(exc.value))
+        assert m, str(exc.value)
+        n, i, field, at = int(m[1]), int(m[2]), m[3], int(m[4])
+        assert at <= cut < at + n
+        assert i == (cut - 28) // block
+        assert at == 28 + i * block + {"patient id": 0, "labels": 8, "signal": 11}[field]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 5), leads=st.integers(1, 3), length=st.integers(1, 9),
+       classes=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_read_matches_a_structured_dtype_parse(tmp_path_factory, n, leads, length, classes, seed):
+    rng = np.random.default_rng(seed)
+    records = random_records(n, rng, leads, length, classes)
+    for rec in records:
+        rec.patient_id = int(rng.integers(0, 2**64, dtype=np.uint64))
+    path = tmp_path_factory.mktemp("oracle") / "d.lgae"
+    D.write_dataset(records, path)
+    record = np.dtype([("pid", "<u8"), ("labels", "u1", (classes,)),
+                       ("signal", "<f4", (leads, length))])  # packed: unaligned for most K
+    expected = np.frombuffer(path.read_bytes(), dtype=record, offset=28).copy()
+    back = D.read_dataset(path)
+    path.write_bytes(bytes(path.stat().st_size))  # the records must not depend on the file
+    assert len(back) == len(expected) == n
+    for rec, row in zip(back, expected):
+        assert rec.patient_id == int(row["pid"])
+        assert rec.labels.dtype == np.uint8 and rec.labels.tobytes() == row["labels"].tobytes()
+        assert rec.signal.dtype == np.float32 and rec.signal.tobytes() == row["signal"].tobytes()
+        assert rec.signal.base is None and rec.labels.base is None
+        for arr in (rec.signal, rec.labels):
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+
+
+def test_write_takes_non_contiguous_arrays(tmp_path):
+    rng = np.random.default_rng(8)
+    wide = rng.uniform(-1, 1, (4, 32)).astype(np.float32)
+    labels = np.array([1, 9, 0, 9, 1, 9], np.uint8)
+    views = [D.EcgRecord(wide[::2, ::2], labels[::2], 0)]
+    copies = [D.EcgRecord(wide[::2, ::2].copy(), labels[::2].copy(), 0)]
+    D.write_dataset(views, tmp_path / "views.lgae")
+    D.write_dataset(copies, tmp_path / "copies.lgae")
+    assert (tmp_path / "views.lgae").read_bytes() == (tmp_path / "copies.lgae").read_bytes()
 
 
 # -- splitting -------------------------------------------------------------------

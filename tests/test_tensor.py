@@ -378,6 +378,29 @@ def test_weight_file_roundtrip(tmp_path):
         assert np.array_equal(back[name], tensors[name])
 
 
+def test_weight_file_reads_owned_arrays_and_writes_views(tmp_path):
+    x = np.random.default_rng(1).standard_normal((3, 4)).astype(np.float32)
+    T.write_weights(tmp_path / "view.lgaw", {"t": x.T, "s": x[1, 2]})
+    T.write_weights(tmp_path / "copy.lgaw", {"t": x.T.copy(), "s": x[1, 2].copy()})
+    assert (tmp_path / "view.lgaw").read_bytes() == (tmp_path / "copy.lgaw").read_bytes()
+    back = T.read_weights(tmp_path / "view.lgaw")
+    (tmp_path / "view.lgaw").write_bytes(bytes((tmp_path / "view.lgaw").stat().st_size))
+    assert back["t"].tobytes() == x.T.tobytes() and back["s"].shape == ()
+    for arr in back.values():
+        assert arr.dtype == np.float32 and arr.base is None
+        assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(0,) * 65, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)],
+                         ids=["rank-65", "zero-size-huge"])
+def test_weight_file_shape_numpy_cannot_hold_is_a_format_error(tmp_path, shape):
+    path = tmp_path / "w.lgaw"
+    entry = b"\x01\x00a" + bytes([len(shape)]) + np.array(shape, "<u4").tobytes()
+    path.write_bytes(b"LGAW" + np.array([1, 1], "<u4").tobytes() + entry)
+    with pytest.raises(FormatError, match=f"data of 'a' at byte {path.stat().st_size}: "):
+        T.read_weights(path)
+
+
 def test_weight_file_layout(tmp_path):
     path = tmp_path / "w.lgaw"
     T.write_weights(path, {"a": np.zeros(2, dtype=np.float32)})
