@@ -85,10 +85,10 @@ class LgaConfig:
             raise ConfigError(f"embed_dim {self.embed_dim} must be a positive multiple of heads {self.heads}")
         if not self.window_len >= self.stride >= 1:
             raise ConfigError(f"need window_len >= stride >= 1, got {self.window_len}, {self.stride}")
-        if self.query_kernel % 2 == 0:
-            raise ConfigError(f"query_kernel must be odd to preserve length, got {self.query_kernel}")
-        if self.kv_kernel % 2 == 0:
-            raise ConfigError(f"kv_kernel must be odd to preserve length, got {self.kv_kernel}")
+        if self.query_kernel < 1 or self.query_kernel % 2 == 0:
+            raise ConfigError(f"query_kernel must be positive and odd, got {self.query_kernel}")
+        if self.kv_kernel < 1 or self.kv_kernel % 2 == 0:
+            raise ConfigError(f"kv_kernel must be positive and odd, got {self.kv_kernel}")
         if self.halving and (self.window_len - self.stride) % 2:
             raise ConfigError(
                 f"halving mode needs even window_len-stride, got {self.window_len}-{self.stride}"

@@ -46,8 +46,11 @@ class SplitSpec:
 
     def validate(self) -> None:
         fracs = (self.train, self.val, self.dev)
-        if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must be non-negative and sum to 1, got {fracs}")
+        for name, f in zip(("train", "val", "dev"), fracs):
+            if not f >= 0:  # false for NaN too
+                raise ConfigError(f"split fraction {name} must be a non-negative number, got {f}")
+        if abs(sum(fracs) - 1.0) > 1e-9:
+            raise ConfigError(f"split fractions must sum to 1, got {fracs}")
 
 
 @dataclass

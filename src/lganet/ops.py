@@ -62,8 +62,20 @@ class Conv1dParams:
                    Tensor(b, requires_grad=True, dtype=dtype), padding)
 
 
+def _columns(data: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """k-major im2col of [B, L, C] zero padded by ``pad`` -> [B·L_out, k·C]: in
+    channels-last an output's k x C patch is contiguous, so each row copies whole."""
+    b, length, c = data.shape
+    xp = data
+    if pad:
+        xp = np.zeros((b, length + 2 * pad, c), data.dtype)
+        xp[:, pad : pad + length] = data
+    return _window_view(xp, k, 1).reshape(-1, k * c)
+
+
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Cross-correlate [B, L, C_in] with p.weight -> [B, L_out, C_out]."""
+    """Cross-correlate [B, L, C_in] with p.weight -> [B, L_out, C_out]. The node
+    keeps its input, not the columns: backward rebuilds them from ``x.data``."""
     if x.ndim != 3:
         raise ShapeError(f"conv1d expects [B, L, C], got {x.shape}")
     b, length, c = x.shape
@@ -72,22 +84,16 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         raise ShapeError(f"conv1d input has {c} channels, params expect {c_in}")
     pad = p.padding
     l_out = conv_out_len(length, k, 1, pad)
-    xp = x.data
-    if pad:
-        xp = np.zeros((b, length + 2 * pad, c), x.dtype)
-        xp[:, pad : pad + length] = x.data
-    # k-major im2col, one matmul for every output position: in channels-last an
-    # output's k x C patch is contiguous, so rows copy whole; weight read as [out, k, in]
-    cols = _window_view(xp, k, 1).reshape(b * l_out, k * c)
+    # one matmul for every output position, the weight read as [out, k, in]
     w2 = p.weight.data.transpose(0, 2, 1).reshape(c_out, k * c)
-    val = (cols @ w2.T).reshape(b, l_out, c_out)
+    val = (_columns(x.data, k, pad) @ w2.T).reshape(b, l_out, c_out)
     val += p.bias.data
     def backward(g):  # g: [B, L_out, C_out]
         if p.bias.requires_grad:
             p.bias._accumulate(g.sum(axis=(0, 1)))
         g2 = g.reshape(b * l_out, c_out)
         if p.weight.requires_grad:
-            dw = (g2.T @ cols).reshape(c_out, k, c)
+            dw = (g2.T @ _columns(x.data, k, pad)).reshape(c_out, k, c)
             p.weight._accumulate(dw.transpose(0, 2, 1))
         if x.requires_grad:
             gx = _fold_windows((g2 @ w2).reshape(b, l_out, k, c), length + 2 * pad, 1)

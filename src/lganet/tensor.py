@@ -11,6 +11,9 @@ closure runs, the node drops its closure, its parents and (unless it is a
 leaf) its gradient. A closure refers to its own output, so an unreleased
 graph is a reference cycle that only the cycle collector frees; released,
 it is freed by refcounting during backward, and can be replayed only once.
+A closure reads its inputs' ``.data`` when it runs (``conv1d`` rebuilds its
+im2col columns from it), so nothing may modify an input in place between
+the forward and the backward; ``gradcheck`` perturbs only after ``backward``.
 """
 
 from __future__ import annotations
@@ -228,9 +231,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Normalized exponentials along ``axis``, computed with max subtraction."""
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         x._accumulate(y * (g - dot))

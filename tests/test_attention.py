@@ -435,3 +435,6 @@ def test_config_validation_errors():
         A.LgaConfig(embed_dim=4, heads=2, window_len=5, stride=2).validate()  # odd l-s
     with pytest.raises(ConfigError):
         A.LgaConfig(embed_dim=4, heads=2, window_len=4, query_kernel=4).validate()
+    for field in ("query_kernel", "kv_kernel"):  # odd but negative: no conv to build
+        with pytest.raises(ConfigError, match=field):
+            A.LgaConfig(embed_dim=4, heads=2, window_len=4, **{field: -1}).validate()

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lganet
 from lganet import cli, ops
 from lganet.cli import main, parse_run_config
 from lganet.data import read_dataset, read_dataset_header
@@ -319,3 +324,31 @@ def test_gradcheck_reports_corrupted_backward(monkeypatch, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert any(line.startswith("FAIL") and "relu" in line for line in out.splitlines())
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # what the interpreter loads before the import (site hooks) is not lganet's doing
+    probe = ("import sys; before = set(sys.modules); "
+             "import lganet, lganet.gradcheck, lganet.cli; "
+             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = {**os.environ, "PYTHONPATH": str(Path(lganet.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"lganet", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"lganet", "numpy"}
+
+
+def test_train_rejects_a_negative_kernel_by_name(tmp_path, capsys):
+    config = write_config(tmp_path, dataset=make_dataset(tmp_path),
+                          model={**MICRO_CONFIG["model"], "query_kernel": -1})
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "query_kernel" in capsys.readouterr().err
+
+
+def test_train_rejects_a_nan_split_fraction_by_name(tmp_path, capsys):
+    config = write_config(tmp_path, dataset=make_dataset(tmp_path),
+                          split={**MICRO_CONFIG["split"], "val": float("nan")})
+    assert "NaN" in config.read_text()
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "split fraction val" in capsys.readouterr().err

@@ -292,6 +292,9 @@ def test_split_fraction_validation():
     with pytest.raises(ConfigError):
         D.split_by_patient(random_records(5, np.random.default_rng(7)),
                            D.SplitSpec(0.5, 0.2, 0.2))
+    for fracs, field in (((float("nan"), 0.5, 0.5), "train"), ((0.5, 0.5, float("nan")), "dev")):
+        with pytest.raises(ConfigError, match=f"split fraction {field}"):
+            D.SplitSpec(*fracs).validate()
 
 
 # -- synthetic generator -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Front-end, transformer blocks, full-model composition, and serialization."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -257,6 +258,41 @@ def test_block_transposes_only_to_split_and_merge_heads(variant, transposes):
     block = tiny_model(seed=16, variant=variant).blocks[0]
     x = Tensor(np.random.default_rng(17).uniform(-1, 1, (2, 8, 8)), requires_grad=True, dtype="f64")
     assert recorded_ops(block.forward(x), "transpose") == transposes
+
+
+def output_bytes(out):
+    """Bytes of the distinct buffers that hold the op outputs of ``out``'s graph,
+    leaving out the buffers of its leaves (inputs and parameters)."""
+    owned, leaves, seen, stack = {}, set(), set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        buf = node.data
+        while buf.base is not None:  # a view keeps the whole buffer it reads alive
+            buf = buf.base
+        if node._op == "leaf":
+            leaves.add(id(buf))
+        else:
+            owned[id(buf)] = buf.nbytes
+        stack.extend(node._parents)
+    return sum(n for key, n in owned.items() if key not in leaves)
+
+
+@pytest.mark.parametrize("variant", A.VARIANTS)
+def test_recorded_forward_holds_little_beyond_its_op_outputs(variant):
+    cfg = ModelConfig.create(leads=4, input_len=512, embed_dim=16, num_stages=2,
+                             window_len=4, variant=variant)
+    model = Model(cfg, seed=18)
+    x = rand_input(model, batch=8, seed=19)
+    tracemalloc.start()
+    try:
+        out = model.forward(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.25 * output_bytes(out)
 
 
 def test_divisibility_validation():

@@ -1,5 +1,7 @@
 """Convolution, pooling, normalization, and activation contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,20 @@ def test_conv1d_matches_loop_oracle(cin, cout, k, stride, padding, length):
     p = make_conv(w, b, padding)
     got = cl(ops.conv1d(Tensor(cl(x), dtype="f64"), p).data)
     assert np.abs(got - conv1d_loops(x, w, b, stride, padding)).max() <= 1e-12
+
+
+def test_recorded_conv1d_keeps_its_input_not_its_columns():
+    # the k-major columns of this conv are 7x its input, 917,504 bytes
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 256, 16)), requires_grad=True, dtype="f64")
+    p = Conv1dParams.create(16, 16, 7, 3, rng, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        out = ops.conv1d(x, p)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < x.data.nbytes + out.data.nbytes
 
 
 def test_conv1d_window_too_large():
