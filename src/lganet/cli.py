@@ -33,7 +33,7 @@ from .data import (
 from .errors import ConfigError, FormatError, LganetError
 from .gradcheck import DEFAULT_TOL, run_all
 from .model import Model, ModelConfig, count_parameters
-from .training import ScheduleSpec, TrainSpec, evaluate, train, write_log_csv
+from .training import ScheduleSpec, TrainSpec, best_epoch, evaluate, train, write_log_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -147,6 +147,7 @@ def load_run_config(path) -> RunConfig:
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
+        cfg.train.validate()
     if args.precision is not None:
         cfg.model = ModelConfig.create(**{**asdict(cfg.model), "precision": args.precision})
     if args.data is not None:
@@ -191,15 +192,15 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save(out_dir / "weights.lgaw")
     write_log_csv(log, out_dir / "training_log.csv")
-    report = evaluate(model, val, cfg.train.threshold, cfg.train.batch_size)
+    kept = best_epoch(log)
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(kept.report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out_dir / "effective_config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"trained {len(log)} epochs, {count_parameters(model.parameters())} parameters, "
-          f"final val macro-F1 {report.macro_f1:.4f}")
+          f"kept epoch {kept.epoch} with val macro-F1 {kept.macro_f1:.4f}")
     print(f"artifacts in {args.out}")
     return EXIT_OK
 
@@ -265,6 +266,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = run_all(seed=args.seed, tol=args.tol)
     failed = 0
     for res in results:

@@ -51,6 +51,8 @@ class SplitSpec:
                 raise ConfigError(f"split fraction {name} must be a non-negative number, got {f}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {fracs}")
+        if self.seed < 0:
+            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -72,6 +74,8 @@ def write_dataset(records: Sequence[EcgRecord], path, sample_rate: int = DEFAULT
             raise FormatError(f"record {i} shape differs from header ({c}, {n}, K={k})")
         if not 0 <= rec.patient_id < 1 << 64:
             raise FormatError(f"record {i} patient id {rec.patient_id} does not fit in u64")
+    if not 0 <= sample_rate < 1 << 32:
+        raise FormatError(f"sample rate {sample_rate} does not fit in u32")
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIIII", DATASET_VERSION, len(records), c, n, k, sample_rate))
@@ -193,6 +197,10 @@ def synth_dataset(n: int, num_classes: int = ModelConfig.num_classes, seed: int 
         raise ConfigError(f"need n > 0 records, got {n}")
     if num_classes < 1 or num_classes > 6:
         raise ConfigError(f"generator supports 1..6 classes, got {num_classes}")
+    if leads < 1 or length < 8:  # a beat period is length // 8 samples
+        raise ConfigError(f"need leads >= 1 and length >= 8, got {leads} and {length}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     base_period = length // 8
     records = []

@@ -60,6 +60,8 @@ class TrainSpec:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 ADAM_BETA1 = 0.9
@@ -209,15 +211,16 @@ def evaluate(model: Model, records: Sequence[EcgRecord], threshold: float = Trai
     if not records:
         raise ConfigError("cannot evaluate an empty dataset")
     total = 0.0
-    chunks = []
+    probs, labels = [], []
     with no_grad():
         for batch in batches(records, batch_size, shuffle_seed=None, dtype=model.dtype):
             logits = model.forward(batch.signal)
             total += bce_loss(logits, batch.labels).item() * batch.labels.size
-            chunks.append(_sigmoid_np(logits.data))
-    labels = np.stack([r.labels for r in records])
-    report = compute_metrics(np.concatenate(chunks, axis=0), labels, threshold)
-    report.loss = total / labels.size
+            probs.append(_sigmoid_np(logits.data))
+            labels.append(batch.labels)
+    y = np.concatenate(labels)
+    report = compute_metrics(np.concatenate(probs), y, threshold)
+    report.loss = total / y.size
     return report
 
 
@@ -231,20 +234,31 @@ class EpochLog:
     epoch: int
     lr: float
     train_loss: float
-    val_loss: float
-    macro_f1: float
+    report: MetricsReport  # the epoch's validation pass
+
+    @property
+    def val_loss(self) -> float:
+        return self.report.loss
+
+    @property
+    def macro_f1(self) -> float:
+        return self.report.macro_f1
+
+
+def best_epoch(log: Sequence[EpochLog]) -> EpochLog:
+    """The row whose weights a run keeps: the first with the lowest validation loss."""
+    return min(log, key=lambda row: row.val_loss)
 
 
 def train(model: Model, train_records: Sequence[EcgRecord], val_records: Sequence[EcgRecord],
           spec: TrainSpec, verbose: bool = False) -> list[EpochLog]:
-    """Epoch loop: shuffle, minimize BCE with AdamW + cosine schedule, early stop,
-    then restore the best-validation-epoch weights."""
+    """Epoch loop: AdamW + cosine schedule, one validation pass per epoch, stop by
+    `should_stop` or `stop_macro_f1`, then load the weights of `best_epoch(log)`."""
     spec.validate()
     if not train_records or not val_records:
         raise ConfigError("training needs non-empty train and validation sets")
     params = model.parameters()
     state = OptimState.create(params)
-    best_loss, best_state = math.inf, model.state_snapshot()
     log: list[EpochLog] = []
     for epoch in range(spec.schedule.total_epochs):
         lr = cosine_lr(epoch, spec.schedule)
@@ -258,19 +272,16 @@ def train(model: Model, train_records: Sequence[EcgRecord], val_records: Sequenc
             running += loss.item() * batch.labels.size
             seen += batch.labels.size
         report = evaluate(model, val_records, spec.threshold, spec.batch_size)
-        val = report.loss
-        log.append(EpochLog(epoch, lr, running / seen, val, report.macro_f1))
+        log.append(EpochLog(epoch, lr, running / seen, report))
         if verbose:
             print(f"epoch {epoch:3d} lr {lr:.3e} train {running / seen:.4f} "
-                  f"val {val:.4f} macroF1 {report.macro_f1:.4f}", flush=True)
-        if val < best_loss:
-            best_loss, best_state = val, model.state_snapshot()
-        if should_stop([row.val_loss for row in log], spec.patience):
+                  f"val {report.loss:.4f} macroF1 {report.macro_f1:.4f}", flush=True)
+        if best_epoch(log) is log[-1]:  # epoch 0 always is: its loss is finite
+            kept = model.state_snapshot()
+        if should_stop([row.val_loss for row in log], spec.patience) or (
+                spec.stop_macro_f1 is not None and report.macro_f1 >= spec.stop_macro_f1):
             break
-        if spec.stop_macro_f1 is not None and report.macro_f1 >= spec.stop_macro_f1:
-            best_state = model.state_snapshot()
-            break
-    model.load_state(best_state)
+    model.load_state(kept)
     return log
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lganet
-from lganet import cli, ops
+from lganet import cli, ops, training
 from lganet.cli import main, parse_run_config
 from lganet.data import read_dataset, read_dataset_header
 from lganet.errors import ConfigError, FormatError
@@ -352,3 +352,59 @@ def test_train_rejects_a_nan_split_fraction_by_name(tmp_path, capsys):
     assert "NaN" in config.read_text()
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
     assert "split fraction val" in capsys.readouterr().err
+
+
+def test_train_validates_once_per_epoch(tmp_path, monkeypatch):
+    calls = []
+    real = training.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", counted)
+    monkeypatch.setattr(cli, "evaluate", counted)  # cli binds the name too
+    config = write_config(tmp_path, dataset=make_dataset(tmp_path),
+                          train={**MICRO_CONFIG["train"], "epochs": 3})
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    epochs = len((out / "training_log.csv").read_text().strip().splitlines()) - 1
+    assert epochs == 3
+    assert len(calls) == epochs
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("case", ["json seed", "split seed", "--seed"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, case):
+    overrides = {"json seed": {"seed": -1},
+                 "split seed": {"split": {**MICRO_CONFIG["split"], "seed": -3}},
+                 "--seed": {}}[case]
+    config = write_config(tmp_path, dataset=make_dataset(tmp_path), **overrides)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "run")]
+    argv += ["--axis", "pe"] if command == "ablate" else []
+    argv += ["--seed", "-1"] if case == "--seed" else []
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "gradcheck"])
+def test_synth_and_gradcheck_refuse_a_negative_seed(tmp_path, capsys, command):
+    out = tmp_path / "x.lgae"
+    argv = ["synth", "--n", "4", "--out", str(out)] if command == "synth" else ["gradcheck"]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--length", "7"], "length >= 8"),
+    (["--leads", "0"], "leads >= 1"),
+    (["--sample-rate", "-1"], "sample rate -1"),
+    (["--sample-rate", "4294967296"], "sample rate 4294967296"),
+])
+def test_synth_bad_size_exits_2_and_writes_nothing(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.lgae"
+    assert main(["synth", "--n", "4", "--out", str(out), "--length", "64"] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -80,9 +80,11 @@ def test_failed_write_leaves_existing_file_alone(tmp_path):
     bad_shape[2] = random_records(1, np.random.default_rng(9), length=8)[0]
     bad_id = random_records(3, np.random.default_rng(8))
     bad_id[2].patient_id = -1
-    for records, match in ((bad_shape, "record 2 shape"), (bad_id, "record 2 patient id")):
+    good = random_records(3, np.random.default_rng(8))
+    for records, rate, match in ((bad_shape, 400, "record 2 shape"), (bad_id, 400, "record 2 patient id"),
+                                 (good, -1, "sample rate -1"), (good, 1 << 32, "sample rate 4294967296")):
         with pytest.raises(FormatError, match=match):
-            D.write_dataset(records, path)
+            D.write_dataset(records, path, sample_rate=rate)
         assert path.read_bytes() == before
 
 
@@ -295,6 +297,8 @@ def test_split_fraction_validation():
     for fracs, field in (((float("nan"), 0.5, 0.5), "train"), ((0.5, 0.5, float("nan")), "dev")):
         with pytest.raises(ConfigError, match=f"split fraction {field}"):
             D.SplitSpec(*fracs).validate()
+    with pytest.raises(ConfigError, match="split seed"):
+        D.SplitSpec(seed=-3).validate()
 
 
 # -- synthetic generator -----------------------------------------------------------
@@ -322,6 +326,9 @@ def test_synth_rejects_bad_sizes():
         D.synth_dataset(0)
     with pytest.raises(ConfigError):
         D.synth_dataset(4, num_classes=9)
+    for kwargs in ({"length": 7}, {"leads": 0}, {"seed": -1}):
+        with pytest.raises(ConfigError):
+            D.synth_dataset(4, **kwargs)
 
 
 def test_synth_never_mixes_long_and_short_gap():

@@ -350,13 +350,49 @@ def test_train_stops_at_the_first_stale_run_and_restores_the_best_epoch():
     assert abs(TR.validation_loss(model, val, spec.batch_size) - best.val_loss) <= 1e-12
 
 
+def test_stop_macro_f1_ends_the_run_but_keeps_the_lowest_loss_weights(monkeypatch):
+    records = synth_dataset(30, 6, seed=13, leads=3, length=256)
+    tr, val, _ = split_by_patient(records, SplitSpec(0.7, 0.2, 0.1, seed=1))
+    scripted = [(0.5, False), (0.3, False), (0.4, True)]  # (val loss, macro-F1 target reached)
+    snapshots = []
+
+    def scripted_evaluate(model, *args, **kwargs):
+        snapshots.append(model.state_snapshot())
+        loss, hit = scripted[len(snapshots) - 1]
+        counts = TR.ClassMetrics(1, 0, 0, 0) if hit else TR.ClassMetrics(0, 1, 1, 0)
+        return TR.MetricsReport([counts], loss=loss)
+
+    monkeypatch.setattr(TR, "evaluate", scripted_evaluate)
+    spec = TrainSpec(schedule=ScheduleSpec(5e-3, 5e-4, 5), batch_size=8, seed=5,
+                     stop_macro_f1=0.999)
+    model = micro_model(seed=14, precision="f64")
+    log = train(model, tr, val, spec)
+    assert [(row.val_loss, row.macro_f1) for row in log] == [(0.5, 0.0), (0.3, 0.0), (0.4, 1.0)]
+    lowest, target, kept = snapshots[1], snapshots[2], model.state_snapshot()
+    assert any(not np.array_equal(lowest[k], target[k]) for k in lowest)
+    for name in lowest:
+        assert np.array_equal(kept[name], lowest[name]), name
+
+
+def test_best_epoch_is_the_first_of_tied_minima():
+    log = [TR.EpochLog(epoch, 1e-3, 1.0, TR.MetricsReport([], loss=loss))
+           for epoch, loss in enumerate([0.5, 0.2, 0.3, 0.2])]
+    assert TR.best_epoch(log) is log[1]
+
+
 def test_train_rejects_empty_sets():
     with pytest.raises(ConfigError):
         train(micro_model(), [], [], TrainSpec())
 
 
+def test_train_spec_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        TrainSpec(seed=-1).validate()
+
+
 def test_write_log_csv(tmp_path):
-    rows = [TR.EpochLog(0, 1e-4, 0.5, 0.6, 0.7), TR.EpochLog(1, 9e-5, 0.4, 0.5, 0.8)]
+    rows = [TR.EpochLog(0, 1e-4, 0.5, TR.MetricsReport([TR.ClassMetrics(1, 0, 0, 0)], loss=0.6)),
+            TR.EpochLog(1, 9e-5, 0.4, TR.MetricsReport([TR.ClassMetrics(1, 0, 0, 0)], loss=0.5))]
     path = tmp_path / "log.csv"
     TR.write_log_csv(rows, path)
     lines = path.read_text().strip().splitlines()
