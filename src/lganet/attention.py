@@ -253,7 +253,8 @@ def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, reference: bool
 def global_kv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Tensor]:
     """Shape-preserving convolutions over the whole sequence -> (K, V), each [B, N, D].
 
-    K and V share one conv with 2·D output channels, so the im2col is built once.
+    K and V share one conv with 2·D output channels, so each im2col block is copied once
+    for both.
     """
     ck, cv = w.conv_k, w.conv_v
     d = ck.out_channels

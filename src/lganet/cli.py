@@ -170,12 +170,31 @@ def _load_records(path, config: ModelConfig):
     return read_dataset(path)
 
 
+def _out_dir(path) -> Path:
+    """An output directory that ``mkdir(parents=True)`` can make, checked before any work."""
+    out = Path(path)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"cannot make output directory {path}: {found} is not a directory")
+    return out
+
+
+def _check_out_file(path) -> None:
+    """Refuse an output file that ``open(path, "w")`` would fail on, before any work."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 # -- commands -------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
     if args.n <= 0:
         raise ConfigError(f"--n must be positive, got {args.n}")
+    _check_out_file(args.out)
     records = synth_dataset(args.n, num_classes=args.classes, seed=args.seed,
                             leads=args.leads, length=args.length)
     write_dataset(records, args.out, sample_rate=args.sample_rate)
@@ -185,10 +204,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
+    out_dir = _out_dir(args.out)
     tr, val, _dev = split_by_patient(_load_records(cfg.dataset, cfg.model), cfg.split, require_nonempty=True)
     model = Model(cfg.model, seed=cfg.train.seed)
     log = train(model, tr, val, cfg.train, verbose=args.verbose)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save(out_dir / "weights.lgaw")
     write_log_csv(log, out_dir / "training_log.csv")
@@ -207,6 +226,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     TrainSpec(threshold=args.threshold).validate()
+    if args.out:
+        _check_out_file(args.out)
     model = Model.load(args.weights, precision=args.precision)
     records = _load_records(args.data, model.config)
     report = evaluate(model, records, threshold=args.threshold)
@@ -238,6 +259,7 @@ def _ablation_values(axis: str, values: str | None):
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     settings = _ablation_values(args.axis, args.values)
+    out_dir = _out_dir(args.out)
     records = _load_records(cfg.dataset, cfg.model)
     tr, val, dev = split_by_patient(records, cfg.split, require_nonempty=True)
     rows = []
@@ -249,7 +271,6 @@ def cmd_ablate(args) -> int:
                     + [f"{report.macro_f1:.4f}"])
         print(f"[{args.axis}={value}] dev macro-F1 {report.macro_f1:.4f}", flush=True)
     header = [args.axis] + [f"f1_{n}" for n in class_names(cfg.model.num_classes)] + ["macro_f1"]
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"ablation_{args.axis}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

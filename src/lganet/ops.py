@@ -62,20 +62,38 @@ class Conv1dParams:
                    Tensor(b, requires_grad=True, dtype=dtype), padding)
 
 
-def _columns(data: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """k-major im2col of [B, L, C] zero padded by ``pad`` -> [B·L_out, k·C]: in
-    channels-last an output's k x C patch is contiguous, so each row copies whole."""
+# Bytes of k-major columns the forward copies per GEMM: big enough for BLAS's
+# large-matrix kernels (smaller blocks change f32 bits), small enough to stay in cache.
+COLUMN_BLOCK_BYTES = 4 << 20
+
+
+def _padded(data: np.ndarray, pad: int) -> np.ndarray:
+    """[B, L, C] zero padded by ``pad`` on both ends of L."""
+    if not pad:
+        return data
     b, length, c = data.shape
-    xp = data
-    if pad:
-        xp = np.zeros((b, length + 2 * pad, c), data.dtype)
-        xp[:, pad : pad + length] = data
-    return _window_view(xp, k, 1).reshape(-1, k * c)
+    xp = np.zeros((b, length + 2 * pad, c), data.dtype)
+    xp[:, pad : pad + length] = data
+    return xp
+
+
+def _even_step(total: int, most: int) -> int:
+    """Part size when ``total`` splits evenly into the fewest parts of at most ``most``."""
+    return -(-total // -(-total // most))
+
+
+def _columns(data: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """Whole k-major im2col of [B, L, C] zero padded by ``pad`` -> [B·L_out, k·C]: in
+    channels-last an output's k x C patch is contiguous, so each row copies whole.
+    Only the conv backward builds it; the forward copies it block by block."""
+    return _window_view(_padded(data, pad), k, 1).reshape(-1, k * data.shape[2])
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Cross-correlate [B, L, C_in] with p.weight -> [B, L_out, C_out]. The node
-    keeps its input, not the columns: backward rebuilds them from ``x.data``."""
+    """Cross-correlate [B, L, C_in] with p.weight -> [B, L_out, C_out]. The forward
+    copies the columns in blocks of at most ``COLUMN_BLOCK_BYTES``, whole batch items
+    when one fits, and each block's GEMM writes its rows of the output in place. The
+    node keeps its input, not the columns: backward rebuilds them from ``x.data``."""
     if x.ndim != 3:
         raise ShapeError(f"conv1d expects [B, L, C], got {x.shape}")
     b, length, c = x.shape
@@ -84,9 +102,19 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         raise ShapeError(f"conv1d input has {c} channels, params expect {c_in}")
     pad = p.padding
     l_out = conv_out_len(length, k, 1, pad)
-    # one matmul for every output position, the weight read as [out, k, in]
+    # one matmul per block of output positions, the weight read as [out, k, in]
     w2 = p.weight.data.transpose(0, 2, 1).reshape(c_out, k * c)
-    val = (_columns(x.data, k, pad) @ w2.T).reshape(b, l_out, c_out)
+    windows = _window_view(_padded(x.data, pad), k, 1)  # [B, L_out, k, C]
+    val = np.empty((b, l_out, c_out), np.result_type(x.data, w2))
+    rows = COLUMN_BLOCK_BYTES // (k * c * windows.itemsize) or 1
+    if l_out <= rows:  # whole items per block
+        items, span = _even_step(max(b, 1), rows // l_out), l_out
+    else:  # one item's positions per block
+        items, span = 1, _even_step(l_out, rows)
+    for i in range(0, b, items):
+        for j in range(0, l_out, span):
+            at = (slice(i, i + items), slice(j, j + span))
+            np.matmul(windows[at].reshape(-1, k * c), w2.T, out=val[at].reshape(-1, c_out))
     val += p.bias.data
     def backward(g):  # g: [B, L_out, C_out]
         if p.bias.requires_grad:

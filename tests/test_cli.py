@@ -408,3 +408,50 @@ def test_synth_bad_size_exits_2_and_writes_nothing(tmp_path, capsys, flags, mess
     assert main(["synth", "--n", "4", "--out", str(out), "--length", "64"] + flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("out", ["afile", "afile/run"])
+def test_out_that_cannot_be_a_directory_exits_2_before_reading_records(
+        tmp_path, capsys, monkeypatch, command, out):
+    (tmp_path / "afile").write_text("taken\n")
+    config = write_config(tmp_path, dataset=make_dataset(tmp_path))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / out)]
+    argv += ["--axis", "pe"] if command == "ablate" else []
+
+    def no_record_reads(path):
+        raise AssertionError("records were read")
+    monkeypatch.setattr(cli, "read_dataset", no_record_reads)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot make output directory {tmp_path / out}" in err
+    assert (tmp_path / "afile").read_text() == "taken\n"
+
+
+def test_synth_out_in_a_missing_directory_exits_2_before_generating(
+        tmp_path, capsys, monkeypatch):
+    def no_records(*args, **kwargs):
+        raise AssertionError("records were generated")
+    monkeypatch.setattr(cli, "synth_dataset", no_records)
+    out = tmp_path / "nodir" / "x.lgae"
+    assert main(["synth", "--n", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: directory {out.parent} does not exist\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("out", ["nodir/r.json", "adir"])
+def test_eval_out_that_cannot_be_written_exits_2_before_evaluating(
+        tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "adir").mkdir()
+    weights, data = saved_model(tmp_path), make_dataset(tmp_path, n=8)
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the model was evaluated")
+    monkeypatch.setattr(cli, "evaluate", no_evaluation)
+    argv = ["eval", "--weights", str(weights), "--data", str(data), "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / out}: ") and err.count("\n") == 1
+    assert not (tmp_path / "nodir").exists()

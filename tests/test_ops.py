@@ -85,6 +85,56 @@ def test_recorded_conv1d_keeps_its_input_not_its_columns():
     assert held < x.data.nbytes + out.data.nbytes
 
 
+# blocks per dtype (f32 | f64): 1 | 1; 16 of 2 items | 32 of 1; 3+2 items | 2+2+1;
+# 3 items x (3 x 2250 + 2248 positions) | 3 x (6 x 1286 + 1282)
+@pytest.mark.parametrize("shape,k,pad,c_out", [
+    ((4, 256, 16), 7, 3, 16),
+    ((32, 4096, 16), 7, 3, 16),
+    ((5, 2048, 16), 7, 3, 16),
+    ((3, 9000, 128), 3, 0, 32),
+], ids=["one-block", "paper-conv2", "short-last-group", "position-split"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_conv1d_is_bitwise_the_one_gemm_conv(shape, k, pad, c_out, dtype):
+    rng = np.random.default_rng(8)
+    p = Conv1dParams.create(shape[2], c_out, k, pad, rng, dtype=dtype)
+    x = Tensor(rng.standard_normal(shape), dtype=dtype)
+    w2 = p.weight.data.transpose(0, 2, 1).reshape(c_out, k * shape[2])
+    want = (ops._columns(x.data, k, pad) @ w2.T).reshape(shape[0], -1, c_out) + p.bias.data
+    got = ops.conv1d(x, p).data
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 4), length=st.integers(3, 12), cin=st.integers(1, 3),
+       k=st.integers(1, 3), padding=st.integers(0, 1), block_rows=st.integers(1, 5))
+def test_conv1d_in_blocks_of_a_few_rows_matches_loop_oracle(b, length, cin, k, padding,
+                                                           block_rows):
+    rng = np.random.default_rng(length * 10 + k)
+    w = rng.uniform(-1, 1, (2, cin, k))
+    bias = rng.uniform(-1, 1, 2)
+    x = rng.uniform(-1, 1, (b, cin, length))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "COLUMN_BLOCK_BYTES", block_rows * k * cin * 8)
+        got = cl(ops.conv1d(Tensor(cl(x), dtype="f64"), make_conv(w, bias, padding)).data)
+    assert np.abs(got - conv1d_loops(x, w, bias, 1, padding)).max() <= 1e-12
+
+
+def test_conv1d_forward_holds_at_most_two_column_blocks():
+    # the whole k-major columns of this conv are 56 MiB
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((32, 4096, 16)), dtype="f32")
+    p = Conv1dParams.create(16, 16, 7, 3, rng, dtype=np.float32)
+    padded_nbytes = 32 * (4096 + 2 * 3) * 16 * 4
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            out = ops.conv1d(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < out.data.nbytes + padded_nbytes + 2 * ops.COLUMN_BLOCK_BYTES
+
+
 def test_conv1d_window_too_large():
     p = make_conv(np.zeros((1, 1, 5)), [0.0])
     with pytest.raises(ShapeError):
