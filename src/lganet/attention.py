@@ -203,7 +203,8 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, capture: dict 
     appended to ``capture["attn"]`` when a capture dict is given.
     """
     k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = mul(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
+    # a Python float is a "weak" scalar (NEP 50): a numpy float64 here would promote f32 to f64
+    scores = mul(matmul(q, k_t), float(1.0 / np.sqrt(q.shape[-1])))
     if bias is not None:
         scores = add(scores, bias)
     attn = softmax(scores, axis=-1)

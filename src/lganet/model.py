@@ -189,6 +189,8 @@ class Model:
             raise ConfigError(
                 f"input shape {x.shape} does not match (B, {self.config.leads}, {self.config.input_len})"
             )
+        if x.dtype != self.dtype:
+            raise ConfigError(f"input dtype {x.dtype} does not match model precision {self.config.precision}")
         x = transpose(x, (0, 2, 1))  # [B, leads, N] -> [B, N, leads]
         for blk in self.res_blocks:
             x = blk.forward(x)

@@ -14,6 +14,9 @@ it is freed by refcounting during backward, and can be replayed only once.
 A closure reads its inputs' ``.data`` when it runs (``conv1d`` rebuilds its
 im2col columns from it), so nothing may modify an input in place between
 the forward and the backward; ``gradcheck`` perturbs only after ``backward``.
+Dtypes do not mix: a scalar operand must be a Python number, which NEP 50
+keeps "weak" (a numpy float64 scalar would promote f32 to f64), and
+``_accumulate`` refuses a gradient whose dtype differs from its tensor's.
 """
 
 from __future__ import annotations
@@ -98,6 +101,8 @@ class Tensor:
         raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
 
     def _accumulate(self, g: np.ndarray) -> None:
+        if g.dtype != self.data.dtype:
+            raise GraphError(f"{g.dtype} gradient for a {self.data.dtype} tensor of shape {self.shape}")
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from lganet import attention as A
+from lganet import ops as ops_module
+from lganet import tensor as tensor_module
 from lganet.errors import ConfigError, FormatError
 from lganet.gradcheck import MINI_CONFIG, model_check
 from lganet.model import Model, ModelConfig, ResBlock, count_parameters
 from lganet.ops import layer_norm, linear_params, max_pool1d, relu
-from lganet.tensor import Tensor, concatenate, read_weights
+from lganet.tensor import Tensor, concatenate, no_grad, read_weights
+from lganet.training import bce_loss
 
 TINY = dict(leads=2, input_len=128, embed_dim=8, heads=2, num_stages=2,
             num_classes=3, window_len=4, stride=2, precision="f64")
@@ -318,6 +321,52 @@ def test_stage_lengths_follow_the_stride():
 def test_unknown_model_field_rejected():
     with pytest.raises(ConfigError):
         ModelConfig.create(bogus=1)
+
+
+def recorded_nodes(root):
+    """Every tensor reachable from ``root`` through the recorded graph."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("variant", A.VARIANTS)
+@pytest.mark.parametrize("pe", A.POS_ENCODINGS)
+def test_f32_model_records_and_returns_only_f32(variant, pe):
+    cfg = ModelConfig.create(**{**MINI_CONFIG, "precision": "f32"}, variant=variant, pos_encoding=pe)
+    model = Model(cfg, seed=0)
+    x = rand_input(model, batch=2, seed=1)
+    y = (np.random.default_rng(2).random((2, cfg.num_classes)) < 0.5).astype(np.float32)
+    logits = model.forward(x)
+    assert logits.dtype == np.float32
+    loss = bce_loss(logits, y)
+    wrong = sorted({(t._op, t.dtype.name) for t in recorded_nodes(loss) if t.dtype != np.float32})
+    assert not wrong
+    loss.backward()
+    assert {p.grad.dtype for p in model.parameters().values()} == {np.dtype(np.float32)}
+
+
+def test_f32_paper_forward_returns_f32_logits():
+    model = Model(ModelConfig.create(), seed=0)
+    x = Tensor(np.random.default_rng(0).uniform(-0.1, 0.1, (1, 12, 4096)), dtype="f32")
+    with no_grad():
+        assert model.forward(x).dtype == np.float32
+
+
+@pytest.mark.parametrize("precision,other", [("f32", "f64"), ("f64", "f32")])
+def test_input_of_another_dtype_is_refused_before_any_op(precision, other, monkeypatch):
+    model = tiny_model(precision=precision)
+    x = Tensor(np.zeros((1, 2, 128)), dtype=other)
+    def no_op(*args):
+        raise AssertionError("an op ran on a refused input")
+    monkeypatch.setattr(tensor_module, "_result", no_op)
+    monkeypatch.setattr(ops_module, "_result", no_op)
+    with pytest.raises(ConfigError, match=f"input dtype {x.dtype} does not match model precision {precision}"):
+        model.forward(x)
 
 
 def test_miniature_end_to_end_gradient_check():

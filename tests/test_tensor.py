@@ -109,6 +109,14 @@ def test_backward_releases_the_graph_and_runs_once():
     assert x.grad.tolist() == [2.0, 4.0]
 
 
+def test_a_gradient_of_another_dtype_is_refused():
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype="f32")
+    y = T.tsum(T.mul(x, np.float64(2.0)))  # a numpy f64 scalar is not weak: y is f64
+    assert y.dtype == np.float64
+    with pytest.raises(GraphError, match=r"float64 gradient for a float32 tensor of shape \(3,\)"):
+        y.backward()
+
+
 def test_fanout_accumulates_additively():
     x = Tensor([5.0], requires_grad=True)
     T.tsum(T.add(x, x)).backward()
