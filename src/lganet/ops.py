@@ -45,10 +45,6 @@ class Conv1dParams:
         return self.weight.shape[0]
 
     @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
-    @property
     def kernel_size(self) -> int:
         return self.weight.shape[2]
 
@@ -82,18 +78,27 @@ def _even_step(total: int, most: int) -> int:
     return -(-total // -(-total // most))
 
 
-def _columns(data: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """Whole k-major im2col of [B, L, C] zero padded by ``pad`` -> [B·L_out, k·C]: in
-    channels-last an output's k x C patch is contiguous, so each row copies whole.
-    Only the conv backward builds it; the forward copies it block by block."""
-    return _window_view(_padded(data, pad), k, 1).reshape(-1, k * data.shape[2])
+def _blocks(b: int, l_out: int, row_bytes: int) -> list[tuple[slice, slice]]:
+    """(items, positions) slices of the blocks of at most ``COLUMN_BLOCK_BYTES`` of
+    im2col rows of ``row_bytes`` each: whole batch items when one item fits, else an
+    even split of one item's positions."""
+    rows = COLUMN_BLOCK_BYTES // row_bytes or 1
+    if l_out <= rows:
+        items, span = _even_step(max(b, 1), rows // l_out), l_out
+    else:
+        items, span = 1, _even_step(l_out, rows)
+    return [(slice(i, i + items), slice(j, j + span))
+            for i in range(0, b, items) for j in range(0, l_out, span)]
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Cross-correlate [B, L, C_in] with p.weight -> [B, L_out, C_out]. The forward
-    copies the columns in blocks of at most ``COLUMN_BLOCK_BYTES``, whole batch items
-    when one fits, and each block's GEMM writes its rows of the output in place. The
-    node keeps its input, not the columns: backward rebuilds them from ``x.data``."""
+    """Cross-correlate [B, L, C_in] with p.weight -> [B, L_out, C_out] as a GEMM over
+    k-major im2col columns (in channels-last an output's k x C patch is contiguous),
+    walked in the blocks of ``_blocks``; each forward GEMM writes its rows of the output
+    in place. The node keeps its input, not the columns. Backward copies each block's
+    columns again for ``dw`` and folds its gradient columns into its rows of one padded
+    ``gx``, last block first, so a row two blocks share adds its taps in ascending
+    order, as one fold of the whole gradient columns does."""
     if x.ndim != 3:
         raise ShapeError(f"conv1d expects [B, L, C], got {x.shape}")
     b, length, c = x.shape
@@ -106,25 +111,29 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     w2 = p.weight.data.transpose(0, 2, 1).reshape(c_out, k * c)
     windows = _window_view(_padded(x.data, pad), k, 1)  # [B, L_out, k, C]
     val = np.empty((b, l_out, c_out), np.result_type(x.data, w2))
-    rows = COLUMN_BLOCK_BYTES // (k * c * windows.itemsize) or 1
-    if l_out <= rows:  # whole items per block
-        items, span = _even_step(max(b, 1), rows // l_out), l_out
-    else:  # one item's positions per block
-        items, span = 1, _even_step(l_out, rows)
-    for i in range(0, b, items):
-        for j in range(0, l_out, span):
-            at = (slice(i, i + items), slice(j, j + span))
-            np.matmul(windows[at].reshape(-1, k * c), w2.T, out=val[at].reshape(-1, c_out))
+    blocks = _blocks(b, l_out, k * c * windows.itemsize)
+    for at in blocks:
+        np.matmul(windows[at].reshape(-1, k * c), w2.T, out=val[at].reshape(-1, c_out))
     val += p.bias.data
     def backward(g):  # g: [B, L_out, C_out]
         if p.bias.requires_grad:
             p.bias._accumulate(g.sum(axis=(0, 1)))
-        g2 = g.reshape(b * l_out, c_out)
         if p.weight.requires_grad:
-            dw = (g2.T @ _columns(x.data, k, pad)).reshape(c_out, k, c)
-            p.weight._accumulate(dw.transpose(0, 2, 1))
+            cols = _window_view(_padded(x.data, pad), k, 1)
+            dw = np.zeros((c_out, k * c), g.dtype)
         if x.requires_grad:
-            gx = _fold_windows((g2 @ w2).reshape(b, l_out, k, c), length + 2 * pad, 1)
+            gx = np.zeros((b, length + 2 * pad, c), g.dtype)
+        for items, positions in reversed(blocks):
+            g_blk = g[items, positions]
+            g2 = g_blk.reshape(-1, c_out)
+            if p.weight.requires_grad:
+                dw += g2.T @ cols[items, positions].reshape(-1, k * c)
+            if x.requires_grad:
+                rows = slice(positions.start, positions.stop + k - 1)
+                _fold_windows((g2 @ w2).reshape(*g_blk.shape[:2], k, c), gx[items, rows], 1)
+        if p.weight.requires_grad:
+            p.weight._accumulate(dw.reshape(c_out, k, c).transpose(0, 2, 1))
+        if x.requires_grad:
             x._accumulate(gx[:, pad : pad + length] if pad else gx)
     return _result(val, (x, p.weight, p.bias), "conv1d", backward)
 
@@ -189,7 +198,7 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         np.maximum(val, sl, out=val)
     def backward(g):  # window j of each output takes g where its maximum sat at j
         hit = idx[:, :, None] == np.arange(kernel)[:, None]  # [B, L_out, kernel, C]
-        x._accumulate(_fold_windows(hit * g[:, :, None], x.shape[1], stride))
+        x._accumulate(_fold_windows(hit * g[:, :, None], np.zeros(x.shape, g.dtype), stride))
     return _result(val, (x,), "max_pool1d", backward)
 
 
@@ -206,7 +215,7 @@ def avg_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
     def backward(g):  # every member of a window takes an equal share
         b, l_out, c = g.shape
         share = np.broadcast_to((g / kernel)[:, :, None], (b, l_out, kernel, c))
-        x._accumulate(_fold_windows(share, x.shape[1], stride))
+        x._accumulate(_fold_windows(share, np.zeros(x.shape, share.dtype), stride))
     return _result(val, (x,), "avg_pool1d", backward)
 
 

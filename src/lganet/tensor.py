@@ -11,11 +11,11 @@ closure runs, the node drops its closure, its parents and (unless it is a
 leaf) its gradient. A closure refers to its own output, so an unreleased
 graph is a reference cycle that only the cycle collector frees; released,
 it is freed by refcounting during backward, and can be replayed only once.
-A closure reads its inputs' ``.data`` when it runs (``conv1d`` rebuilds its
-im2col columns from it), so nothing may modify an input in place between
+A closure reads its inputs' ``.data`` when it runs (``conv1d`` copies its
+im2col columns from it again), so nothing may modify an input in place between
 the forward and the backward; ``gradcheck`` perturbs only after ``backward``.
-Dtypes do not mix: a scalar operand must be a Python number, which NEP 50
-keeps "weak" (a numpy float64 scalar would promote f32 to f64), and
+Dtypes do not mix: ``add`` and ``mul`` take a scalar operand as a Python float,
+which NEP 50 keeps "weak" (a numpy float64 scalar would promote f32 to f64), and
 ``_accumulate`` refuses a gradient whose dtype differs from its tensor's.
 """
 
@@ -188,7 +188,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        return _result(a.data + b, (a,), "add_scalar", a._accumulate)
+        return _result(a.data + float(b), (a,), "add_scalar", a._accumulate)
     def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
@@ -205,6 +205,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
+        b = float(b)
         return _result(a.data * b, (a,), "mul_scalar", lambda g: a._accumulate(g * b))
     def backward(g):
         if a.requires_grad:
@@ -362,12 +363,12 @@ def _window_view(x: np.ndarray, size: int, step: int) -> np.ndarray:
                       writeable=False)
 
 
-def _fold_windows(g: np.ndarray, length: int, step: int) -> np.ndarray:
-    """Adjoint of ``_window_view``: scatter-add windows [B, L_out, size, C] onto
-    [B, length, C], the backward of every sliding-window op."""
-    b, l_out, size, c = g.shape
+def _fold_windows(g: np.ndarray, out: np.ndarray, step: int) -> np.ndarray:
+    """Adjoint of ``_window_view``: scatter-add windows [B, L_out, size, C] into the
+    [B, length, C] array or view ``out`` and return it; the backward of every
+    sliding-window op."""
+    l_out, size = g.shape[1:3]
     span = (l_out - 1) * step + 1
-    out = np.zeros((b, length, c), dtype=g.dtype)
     for j in range(size):
         out[:, j : j + span : step] += g[:, :, j]
     return out
@@ -383,7 +384,7 @@ def unfold_windows(x: Tensor, size: int, step: int) -> Tensor:
     if n < size:
         raise ShapeError(f"sequence length {n} shorter than window {size}")
     return _result(np.ascontiguousarray(_window_view(x.data, size, step)), (x,), "unfold",
-                   lambda g: x._accumulate(_fold_windows(g, n, step)))
+                   lambda g: x._accumulate(_fold_windows(g, np.zeros(x.shape, g.dtype), step)))
 
 
 # -- weight file format -------------------------------------------------------

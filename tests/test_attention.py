@@ -214,7 +214,6 @@ def numpy_lga_oracle(x, cfg, w):
     m = n // s if cfg.halving else (n - l) // s + 1
 
     def conv_seq(seq, p):
-        cin = p.in_channels
         pad = p.padding
         sp = np.pad(seq, ((0, 0), (pad, pad), (0, 0)))
         out = np.zeros((seq.shape[0], seq.shape[1], p.out_channels))

@@ -85,6 +85,30 @@ def test_recorded_conv1d_keeps_its_input_not_its_columns():
     assert held < x.data.nbytes + out.data.nbytes
 
 
+def one_gemm_conv(x, p, g):
+    """The conv as one GEMM over the whole k-major im2col: its output for ``x`` and, for
+    the output gradient ``g``, its ``gx`` (one fold of the whole gradient columns) and ``dw``."""
+    c_out, c, k = p.weight.shape
+    pad = p.padding
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    cols = T._window_view(xp, k, 1).reshape(-1, k * c)
+    w2 = p.weight.data.transpose(0, 2, 1).reshape(c_out, k * c)
+    val = (cols @ w2.T).reshape(x.shape[0], -1, c_out) + p.bias.data
+    g2 = g.reshape(-1, c_out)
+    gx = T._fold_windows((g2 @ w2).reshape(*g.shape[:2], k, c), np.zeros_like(xp), 1)
+    dw = (g2.T @ cols).reshape(c_out, k, c).transpose(0, 2, 1)
+    return val, gx[:, pad : pad + x.shape[1]], dw
+
+
+def blocked_conv(x, p, g):
+    """``conv1d``'s output for ``x`` and its ``gx`` and ``dw`` for the output gradient ``g``."""
+    x = Tensor(x, requires_grad=True, dtype=x.dtype)
+    out = ops.conv1d(x, p)
+    out.grad = g
+    out._backward()
+    return out.data, x.grad, p.weight.grad
+
+
 # blocks per dtype (f32 | f64): 1 | 1; 16 of 2 items | 32 of 1; 3+2 items | 2+2+1;
 # 3 items x (3 x 2250 + 2248 positions) | 3 x (6 x 1286 + 1282)
 @pytest.mark.parametrize("shape,k,pad,c_out", [
@@ -97,11 +121,16 @@ def test_recorded_conv1d_keeps_its_input_not_its_columns():
 def test_blocked_conv1d_is_bitwise_the_one_gemm_conv(shape, k, pad, c_out, dtype):
     rng = np.random.default_rng(8)
     p = Conv1dParams.create(shape[2], c_out, k, pad, rng, dtype=dtype)
-    x = Tensor(rng.standard_normal(shape), dtype=dtype)
-    w2 = p.weight.data.transpose(0, 2, 1).reshape(c_out, k * shape[2])
-    want = (ops._columns(x.data, k, pad) @ w2.T).reshape(shape[0], -1, c_out) + p.bias.data
-    got = ops.conv1d(x, p).data
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    x = rng.standard_normal(shape).astype(dtype)
+    g = rng.standard_normal((shape[0], shape[1] + 2 * pad - k + 1, c_out)).astype(dtype)
+    (val, gx, dw), want = blocked_conv(x, p, g), one_gemm_conv(x, p, g)
+    for got, ref in zip((val, gx, dw), want):
+        assert got.dtype == ref.dtype
+    assert val.tobytes() == want[0].tobytes()
+    assert gx.tobytes() == np.ascontiguousarray(want[1]).tobytes()
+    # dw sums its blocks in another order: f32 reads <= 7.7e-7 relative on these shapes
+    dw_rtol = 1e-12 if dtype == np.float64 else 1e-5
+    assert np.abs(dw - want[2]).max() <= dw_rtol * np.abs(want[2]).max()
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,6 +148,25 @@ def test_conv1d_in_blocks_of_a_few_rows_matches_loop_oracle(b, length, cin, k, p
     assert np.abs(got - conv1d_loops(x, w, bias, 1, padding)).max() <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 4), length=st.integers(4, 12), cin=st.integers(1, 3),
+       c_out=st.integers(1, 3), k=st.integers(1, 4), padding=st.integers(0, 2),
+       block_rows=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_conv1d_backward_in_blocks_of_a_few_rows_is_the_one_gemm_backward(
+        b, length, cin, c_out, k, padding, block_rows, seed):
+    # block_rows < L_out splits an item's positions, so blocks share k - 1 halo rows of gx.
+    # A GEMM of a few rows may take another BLAS kernel, so bits can differ here.
+    rng = np.random.default_rng(seed)
+    p = Conv1dParams.create(cin, c_out, k, padding, rng, dtype=np.float64)
+    x = rng.uniform(-1, 1, (b, length, cin))
+    g = rng.uniform(-1, 1, (b, length + 2 * padding - k + 1, c_out))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "COLUMN_BLOCK_BYTES", block_rows * k * cin * 8)
+        got = blocked_conv(x, p, g)
+    for a, want in zip(got, one_gemm_conv(x, p, g)):
+        assert np.abs(a - want).max() <= 1e-12
+
+
 def test_conv1d_forward_holds_at_most_two_column_blocks():
     # the whole k-major columns of this conv are 56 MiB
     rng = np.random.default_rng(6)
@@ -133,6 +181,23 @@ def test_conv1d_forward_holds_at_most_two_column_blocks():
         finally:
             tracemalloc.stop()
     assert peak < out.data.nbytes + padded_nbytes + 2 * ops.COLUMN_BLOCK_BYTES
+
+
+def test_conv1d_backward_holds_at_most_two_column_blocks():
+    # the whole k-major columns of this conv, and its whole gradient columns, are 56 MiB each
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((32, 4096, 16)), requires_grad=True, dtype="f32")
+    p = Conv1dParams.create(16, 16, 7, 3, rng, dtype=np.float32)
+    padded_nbytes = 32 * (4096 + 2 * 3) * 16 * 4
+    out = ops.conv1d(x, p)
+    out.grad = rng.standard_normal(out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out._backward()  # the padded input, the padded gx and x.grad, plus the blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * padded_nbytes + x.data.nbytes + 2 * ops.COLUMN_BLOCK_BYTES
 
 
 def test_conv1d_window_too_large():

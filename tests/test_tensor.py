@@ -111,10 +111,17 @@ def test_backward_releases_the_graph_and_runs_once():
 
 def test_a_gradient_of_another_dtype_is_refused():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype="f32")
-    y = T.tsum(T.mul(x, np.float64(2.0)))  # a numpy f64 scalar is not weak: y is f64
+    y = T.tsum(T.mul(x, Tensor([2.0], dtype="f64")))  # an f64 operand makes y f64
     assert y.dtype == np.float64
     with pytest.raises(GraphError, match=r"float64 gradient for a float32 tensor of shape \(3,\)"):
         y.backward()
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul, T.sub])
+def test_a_numpy_f64_scalar_operand_keeps_an_f32_op_f32(op):
+    x = Tensor([1.0, 2.0, 3.0], dtype="f32")
+    with T.no_grad():
+        assert op(x, np.float64(2.0)).dtype == np.float32
 
 
 def test_fanout_accumulates_additively():
@@ -299,7 +306,7 @@ def test_fold_windows_is_the_adjoint_of_window_view(b, length, c, size, step, se
     x = rng.uniform(-1, 1, (b, length, c))
     view = T._window_view(x, size, step)
     g = rng.uniform(-1, 1, view.shape)
-    assert abs(np.vdot(view, g) - np.vdot(x, T._fold_windows(g, length, step))) <= 1e-12
+    assert abs(np.vdot(view, g) - np.vdot(x, T._fold_windows(g, np.zeros_like(x), step))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
