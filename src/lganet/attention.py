@@ -8,9 +8,11 @@ and three positional-encoding strategies live behind the same interface
 for ablation runs.
 
 Every variant is scaled dot-product attention and differs only in how it
-lays out Q, K, V and the relative score bias: each core builds those and
-calls the one kernel, `_attend` (scores, bias, softmax, capture, weighted
-sum), directly or through the head split of `_mha`.
+builds Q, K, V and the relative score bias: each core builds those as
+`[B', M, D]` queries and `[B', N, D]` keys/values and calls the one kernel,
+`_mha` (head split, scores, bias, softmax, capture, weighted sum, head
+merge). The windowed variants (`SWIN_LIKE`, `LOCAL_QKV`) attend within each
+window by making every window a batch row.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .tensor import (
     pad_axis,
     reshape,
     softmax,
-    stack,
     take_rows,
     tmean,
     transpose,
@@ -66,10 +67,6 @@ class LgaConfig:
     pos_encoding: str = PE_NONE
     halving: bool = True
     max_len: int | None = None  # positional table capacity
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
 
     @property
     def halo(self) -> int:
@@ -195,60 +192,40 @@ def _relative_bias(w: LgaWeights, cfg: LgaConfig, m: int, n: int,
 # -- core attention pieces -----------------------------------------------------
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None, capture: dict | None) -> Tensor:
-    """Scaled dot-product attention on head-split [..., M, Dh] queries and
-    [..., N, Dh] keys/values -> [..., M, Dh].
+def _mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
+         bias: Tensor | None, capture: dict | None) -> Tensor:
+    """Multi-head scaled dot-product attention; q is [B', M, D], k/v [B', N, D] -> [B', M, D].
 
-    ``bias`` broadcasts onto the [..., M, N] scores; the softmax weights are
-    appended to ``capture["attn"]`` when a capture dict is given.
+    Q and V split to [B', H, ., Dh]; K goes straight to [B', H, Dh, N], so each
+    operand is transposed once. Each split is made where it is used, so under
+    no_grad its copy is freed before the softmax runs. ``bias`` broadcasts onto
+    the [B', H, M, N] scores; the softmax weights are appended to
+    ``capture["attn"]`` when a capture dict is given.
     """
-    k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    b, m, d = q.shape
+    dh = d // heads
+    def split(t, axes):
+        return transpose(reshape(t, (b, t.shape[1], heads, dh)), axes)
     # a Python float is a "weak" scalar (NEP 50): a numpy float64 here would promote f32 to f64
-    scores = mul(matmul(q, k_t), float(1.0 / np.sqrt(q.shape[-1])))
+    scores = mul(matmul(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1))), float(1.0 / np.sqrt(dh)))
     if bias is not None:
         scores = add(scores, bias)
     attn = softmax(scores, axis=-1)
     if capture is not None:
         capture.setdefault("attn", []).append(attn.data)
-    return matmul(attn, v)
+    return reshape(transpose(matmul(attn, split(v, (0, 2, 1, 3))), (0, 2, 1, 3)), (b, m, d))
 
 
-def _mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
-         bias: Tensor | None, capture: dict | None) -> Tensor:
-    """Multi-head attention; q is [B, M, D], k/v [B, N, D] -> [B, M, D]."""
-    b, m, d = q.shape
-    def split(t):
-        return transpose(reshape(t, (b, t.shape[1], heads, d // heads)), (0, 2, 1, 3))
-    o = _attend(split(q), split(k), split(v), bias, capture)
-    return reshape(transpose(o, (0, 2, 1, 3)), (b, m, d))
-
-
-def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, reference: bool = False) -> Tensor:
+def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> Tensor:
     """One averaged convolutional query per overlapping window -> [B, M, D].
 
-    The default path convolves the whole (halo-padded) sequence once and
-    average-pools with kernel=window_len, stride=stride. The reference
-    path slices every window together with its convolution context and
-    reduces it independently; both agree to machine precision.
+    Convolves the whole (halo-padded) sequence once and average-pools with
+    kernel=window_len, stride=stride.
     """
-    b, n, d = x_norm.shape
-    l, s = cfg.window_len, cfg.stride
-    m = window_count(n, l, s, cfg.halving)
-    if not reference:
-        # the conv's own zero padding also supplies the halo
-        conv = replace(w.conv_q, padding=w.conv_q.padding + cfg.halo)
-        return avg_pool1d(conv1d(x_norm, conv), l, s)
-    xp = _halo_pad(x_norm, cfg)
-    p_q = w.conv_q.padding
-    valid_conv = replace(w.conv_q, padding=0)
-    n_pad = xp.shape[1]
-    queries = []
-    for i in range(m):
-        lo, hi = i * s - p_q, i * s + l + p_q
-        piece = narrow(xp, (slice(None), slice(max(lo, 0), min(hi, n_pad))))
-        piece = pad_axis(piece, 1, max(0, -lo), max(0, hi - n_pad))
-        queries.append(tmean(conv1d(piece, valid_conv), axis=1))
-    return stack(queries, axis=1)
+    window_count(x_norm.shape[1], cfg.window_len, cfg.stride, cfg.halving)  # shape validation
+    # the conv's own zero padding also supplies the halo
+    conv = replace(w.conv_q, padding=w.conv_q.padding + cfg.halo)
+    return avg_pool1d(conv1d(x_norm, conv), cfg.window_len, cfg.stride)
 
 
 def global_kv(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> tuple[Tensor, Tensor]:
@@ -310,7 +287,6 @@ def _swin_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | No
 def _local_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
     b, n, d = x_norm.shape
     l, s = cfg.window_len, cfg.stride
-    heads, dh = cfg.heads, cfg.head_dim
     window_count(n, l, s, cfg.halving)  # shape validation
     xw = unfold_windows(_halo_pad(x_norm, cfg), l, s)  # [B, M, l, D]
     m = xw.shape[1]
@@ -320,11 +296,9 @@ def _local_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | N
         pe = _halo_pad(_ape_rows(w, cfg, n), cfg)
         q = add(q, avg_pool1d(pe, l, s))  # per-window mean of the encodings
         kw = add(kw, unfold_windows(pe, l, s))
-    def heads_of(t):
-        return transpose(reshape(t, (b, m, l, heads, dh)), (0, 1, 3, 2, 4))
-    # the one query of each window needs no transpose to sit beside its keys
-    o = _attend(reshape(q, (b, m, heads, 1, dh)), heads_of(kw), heads_of(xw),
-                _relative_bias(w, cfg, 1, l), capture)
+    # each window's one query attends to its own l keys, as one batch row
+    o = _mha(reshape(q, (b * m, 1, d)), reshape(kw, (b * m, l, d)), reshape(xw, (b * m, l, d)),
+             cfg.heads, _relative_bias(w, cfg, 1, l), capture)
     return add(reshape(o, (b, m, d)), q)
 
 

@@ -258,13 +258,15 @@ def _ablation_values(axis: str, values: str | None):
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    settings = _ablation_values(args.axis, args.values)
+    # every setting's model config is checked before any record is read or any run trains
+    runs = [(value, ModelConfig.create(**{**asdict(cfg.model), knob: value}))
+            for knob, value in _ablation_values(args.axis, args.values)]
     out_dir = _out_dir(args.out)
     records = _load_records(cfg.dataset, cfg.model)
     tr, val, dev = split_by_patient(records, cfg.split, require_nonempty=True)
     rows = []
-    for knob, value in settings:
-        model = Model(ModelConfig.create(**{**asdict(cfg.model), knob: value}), seed=cfg.train.seed)
+    for value, model_cfg in runs:
+        model = Model(model_cfg, seed=cfg.train.seed)
         train(model, tr, val, cfg.train, verbose=args.verbose)
         report = evaluate(model, dev, cfg.train.threshold, cfg.train.batch_size)
         rows.append([str(value)] + [f"{c.f1:.4f}" for c in report.classes]

@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .attention import VARIANT_VIT, LgaConfig, LgaWeights, attention_core
+from .attention import VARIANT_SWIN, VARIANT_VIT, LgaConfig, LgaWeights, attention_core
 from .errors import ConfigError, FormatError
 from .ops import (
     Conv1dParams,
@@ -87,6 +87,12 @@ class ModelConfig:
         except Exception:
             raise ConfigError(f"precision must be 'f32' or 'f64', got {self.precision!r}") from None
         self.stage_config(1).validate()  # the stages differ only in max_len, always >= 1 here
+        if self.variant == VARIANT_SWIN:
+            for i in range(1, self.num_stages + 1):
+                n = self.stage_len(i)
+                if n % min(self.window_len, n):
+                    raise ConfigError(f"SWIN_LIKE window_len {self.window_len} does not divide "
+                                      f"stage {i}'s sequence length {n}")
 
     @property
     def dtype(self) -> np.dtype:

@@ -1,5 +1,7 @@
 """Windowed-query attention: counting laws, path equivalence, variants, encodings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from lganet import attention as A
 from lganet.errors import ConfigError, ShapeError
 from lganet.gradcheck import _weighted_sum, max_rel_error
 from lganet.ops import LAYER_NORM_EPS, conv1d, layer_norm
-from lganet.tensor import Tensor, stack, tsum
+from lganet.tensor import Tensor, narrow, pad_axis, stack, tmean, tsum
 
 R64 = dict(dtype="f64")
 
@@ -63,6 +65,23 @@ def test_window_count_laws(n, l, s):
 # -- query path --------------------------------------------------------------
 
 
+def reference_queries(x_norm, cfg, w):
+    """`local_queries` window by window: slice every window together with its
+    convolution context, convolve it unpadded and average it on its own."""
+    l, s, p_q = cfg.window_len, cfg.stride, w.conv_q.padding
+    m = A.window_count(x_norm.shape[1], l, s, cfg.halving)
+    xp = pad_axis(x_norm, 1, cfg.halo, cfg.halo)
+    valid_conv = replace(w.conv_q, padding=0)
+    n_pad = xp.shape[1]
+    queries = []
+    for i in range(m):
+        lo, hi = i * s - p_q, i * s + l + p_q
+        piece = narrow(xp, (slice(None), slice(max(lo, 0), min(hi, n_pad))))
+        piece = pad_axis(piece, 1, max(0, -lo), max(0, hi - n_pad))
+        queries.append(tmean(conv1d(piece, valid_conv), axis=1))
+    return stack(queries, axis=1)
+
+
 def test_local_queries_identity_conv_constant_input():
     cfg = A.LgaConfig(embed_dim=3, heads=1, window_len=4, stride=2, query_kernel=1)
     w = make_weights(cfg)
@@ -100,7 +119,7 @@ def test_fast_path_equals_reference_path(halving):
         w = A.LgaWeights.create(cfg, rng, np.float64)
         x = Tensor(rng.uniform(-1, 1, (2, n, d)), **R64)
         fast = A.local_queries(x, cfg, w).data
-        ref = A.local_queries(x, cfg, w, reference=True).data
+        ref = reference_queries(x, cfg, w).data
         if halving:
             diff = np.abs(fast[:, 1:-1] - ref[:, 1:-1]) if fast.shape[1] > 2 else np.zeros(1)
         else:
@@ -202,12 +221,20 @@ def test_all_equal_keys_attend_to_value_mean():
     assert np.abs(attended - v.data.mean(axis=1, keepdims=True)).max() <= 1e-10
 
 
-def numpy_lga_oracle(x, cfg, w):
-    """Step-by-step plain-numpy recomputation of the whole layer."""
-    gamma, beta, eps = w.norm.gamma.data, w.norm.beta.data, LAYER_NORM_EPS
+def numpy_layer_norm(x, norm):
     mu = x.mean(-1, keepdims=True)
     var = ((x - mu) ** 2).mean(-1, keepdims=True)
-    xn = gamma * (x - mu) / np.sqrt(var + eps) + beta
+    return norm.gamma.data * (x - mu) / np.sqrt(var + LAYER_NORM_EPS) + norm.beta.data
+
+
+def numpy_softmax(scores):
+    e = np.exp(scores - scores.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
+
+
+def numpy_lga_oracle(x, cfg, w):
+    """Step-by-step plain-numpy recomputation of the whole layer."""
+    xn = numpy_layer_norm(x, w.norm)
     b, n, d = xn.shape
     l, s, halo = cfg.window_len, cfg.stride, cfg.halo
     xp = np.pad(xn, ((0, 0), (halo, halo), (0, 0)))
@@ -231,9 +258,7 @@ def numpy_lga_oracle(x, cfg, w):
     for h in range(cfg.heads):
         sl = slice(h * dh, (h + 1) * dh)
         scores = q[:, :, sl] @ k[:, :, sl].transpose(0, 2, 1) / np.sqrt(dh)
-        e = np.exp(scores - scores.max(-1, keepdims=True))
-        attn = e / e.sum(-1, keepdims=True)
-        out[:, :, sl] = attn @ v[:, :, sl]
+        out[:, :, sl] = numpy_softmax(scores) @ v[:, :, sl]
     return out + q
 
 
@@ -286,6 +311,42 @@ def test_local_qkv_constant_input_disjoint_windows():
     out = A.attention_core(xn, cfg, w)
     # queries, keys, values are all the normalized constant c: output is 2c
     assert np.abs(out.data - 2.0 * xn.data[:, ::2, :]).max() <= 1e-12
+
+
+def numpy_local_qkv_oracle(x, cfg, w):
+    """LOCAL_QKV window by window and head by head in plain numpy: the mean of
+    each halo-padded window attends to the window's own embeddings."""
+    xn = numpy_layer_norm(x, w.norm)
+    b, n, d = xn.shape
+    l, s, halo, cap = cfg.window_len, cfg.stride, cfg.halo, cfg.max_len
+    xp = np.pad(xn, ((0, 0), (halo, halo), (0, 0)))
+    # the query sits at its window's start, so key j is at offset j
+    bias = w.rel.data[np.clip(np.arange(l), -cap, cap) + cap]
+    dh = d // cfg.heads
+    out = np.zeros((b, n // s, d))
+    for i in range(n // s):
+        win = xp[:, i * s : i * s + l, :]  # [B, l, D]
+        q = win.mean(axis=1)
+        for h in range(cfg.heads):
+            sl = slice(h * dh, (h + 1) * dh)
+            scores = np.einsum("bd,bjd->bj", q[:, sl], win[:, :, sl]) / np.sqrt(dh) + bias
+            out[:, i, sl] = np.einsum("bj,bjd->bd", numpy_softmax(scores), win[:, :, sl])
+        out[:, i] += q
+    return out
+
+
+def test_local_qkv_matches_numpy_oracle():
+    # two heads, a non-zero halo and a random offset table: a wrong head layout
+    # or bias offset shows, where the constant-input test above cannot see it
+    cfg = A.LgaConfig(embed_dim=8, heads=2, window_len=6, stride=2,
+                      variant=A.VARIANT_LOCAL_QKV, pos_encoding=A.PE_RELATIVE, max_len=16)
+    w = make_weights(cfg, seed=23)
+    rng = np.random.default_rng(24)
+    w.rel.data[:] = rng.uniform(-1, 1, w.rel.shape)
+    x = rng.uniform(-1, 1, (2, 16, 8))
+    got = A.attention_variant(Tensor(x, **R64), cfg, w).data
+    assert got.shape == (2, 8, 8)
+    assert np.abs(got - numpy_local_qkv_oracle(x, cfg, w)).max() <= 1e-12
 
 
 def test_global_qkv_coincides_with_lga_at_window_eq_stride():

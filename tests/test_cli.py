@@ -272,6 +272,25 @@ def test_ablate_rejects_bad_values(tmp_path, capsys, axis, values):
     assert "--values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knobs, values, message", [
+    ({}, "4,8,7", "halving mode needs even window_len-stride, got 7-2"),
+    ({"variant": "SWIN_LIKE"}, "4,8,6", "SWIN_LIKE window_len 6 does not divide"),
+], ids=["odd-halo", "swin-window"])
+def test_ablate_checks_every_setting_before_training(tmp_path, capsys, monkeypatch,
+                                                     knobs, values, message):
+    config = write_config(tmp_path, dataset=make_dataset(tmp_path),
+                          model={**MICRO_CONFIG["model"], **knobs})
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a setting was trained")
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(config), "--axis", "window",
+                 "--values", values, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_pe_axis_four_rows(tmp_path):
     data = make_dataset(tmp_path, n=30)
     config = write_config(tmp_path, dataset=data,

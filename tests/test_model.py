@@ -251,16 +251,13 @@ def recorded_ops(out, op):
     return count
 
 
-@pytest.mark.parametrize("variant,transposes", [
-    (A.VARIANT_LGA, 5), (A.VARIANT_VIT, 5), (A.VARIANT_SWIN, 5),
-    (A.VARIANT_GLOBAL_QKV, 5), (A.VARIANT_LOCAL_QKV, 3),
-])
-def test_block_transposes_only_to_split_and_merge_heads(variant, transposes):
+@pytest.mark.parametrize("variant", A.VARIANTS)
+def test_block_transposes_only_to_split_and_merge_heads(variant):
     # conv and pool take the block's [B, N, D] layout: the only transposes left
-    # split and merge heads (SWIN: windows), plus K^T for the scores
+    # split Q, K and V into heads (K straight to K^T) and merge the output's
     block = tiny_model(seed=16, variant=variant).blocks[0]
     x = Tensor(np.random.default_rng(17).uniform(-1, 1, (2, 8, 8)), requires_grad=True, dtype="f64")
-    assert recorded_ops(block.forward(x), "transpose") == transposes
+    assert recorded_ops(block.forward(x), "transpose") == 4
 
 
 def output_bytes(out):
@@ -316,6 +313,22 @@ def test_stage_lengths_follow_the_stride():
             assert model.config.stage_config(i).max_len == h.shape[1]
             h = blk.forward(h)
         assert model.config.stage_len(len(model.blocks) + 1) == h.shape[1] >= 1
+
+
+def test_swin_window_must_divide_every_stage_length():
+    # stages see 16 and 8 positions; a window at least a stage long covers the whole stage
+    knobs = dict(leads=3, input_len=256, embed_dim=16, heads=2, num_stages=2, variant=A.VARIANT_SWIN)
+    with pytest.raises(ConfigError, match="window_len 6 does not divide stage 1's sequence length 16"):
+        ModelConfig.create(**knobs, window_len=6)
+    refused = []
+    for window_len in range(2, 34, 2):
+        try:
+            model = Model(ModelConfig.create(**knobs, window_len=window_len))
+        except ConfigError:
+            refused.append(window_len)
+            continue
+        model.forward(rand_input(model, batch=1))  # every accepted window runs
+    assert refused == [6, 10, 12, 14]
 
 
 def test_unknown_model_field_rejected():
