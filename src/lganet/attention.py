@@ -11,8 +11,9 @@ Every variant is scaled dot-product attention and differs only in how it
 builds Q, K, V and the relative score bias: each core builds those as
 `[B', M, D]` queries and `[B', N, D]` keys/values and calls the one kernel,
 `_mha` (head split, scores, bias, softmax, capture, weighted sum, head
-merge). The windowed variants (`SWIN_LIKE`, `LOCAL_QKV`) attend within each
-window by making every window a batch row.
+merge). Only `SWIN_LIKE`, whose windows do not overlap, makes every window a
+batch row. `LOCAL_QKV` masks its scores to each window's band of keys, so its
+captured weights are `[B, H, M, N + 2·halo]`, zero off the band.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .tensor import (
     reshape,
     softmax,
     take_rows,
-    tmean,
     transpose,
-    unfold_windows,
 )
 
 VARIANT_LGA = "LGA"
@@ -285,21 +284,19 @@ def _swin_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | No
 
 
 def _local_core(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights, capture: dict | None) -> Tensor:
-    b, n, d = x_norm.shape
-    l, s = cfg.window_len, cfg.stride
+    n, l, s = x_norm.shape[1], cfg.window_len, cfg.stride
     window_count(n, l, s, cfg.halving)  # shape validation
-    xw = unfold_windows(_halo_pad(x_norm, cfg), l, s)  # [B, M, l, D]
-    m = xw.shape[1]
-    q = tmean(xw, axis=2)  # mean of raw window embeddings
-    kw = xw
+    xp = k = _halo_pad(x_norm, cfg)
+    q = avg_pool1d(xp, l, s)  # mean of raw window embeddings
     if cfg.pos_encoding in (PE_SINUSOIDAL, PE_LEARNABLE):
         pe = _halo_pad(_ape_rows(w, cfg, n), cfg)
-        q = add(q, avg_pool1d(pe, l, s))  # per-window mean of the encodings
-        kw = add(kw, unfold_windows(pe, l, s))
-    # each window's one query attends to its own l keys, as one batch row
-    o = _mha(reshape(q, (b * m, 1, d)), reshape(kw, (b * m, l, d)), reshape(xw, (b * m, l, d)),
-             cfg.heads, _relative_bias(w, cfg, 1, l), capture)
-    return add(reshape(o, (b, m, d)), q)
+        q, k = add(q, avg_pool1d(pe, l, s)), add(k, pe)
+    # query i sees only its window's keys i*s .. i*s+l-1: -1e30 (_result refuses -inf)
+    # keeps every score finite and gives each key outside the band a weight of exactly 0
+    offsets = np.arange(xp.shape[1]) - s * np.arange(q.shape[1])[:, None]
+    bias = Tensor(np.where((offsets >= 0) & (offsets < l), 0.0, -1e30), dtype=x_norm.dtype)
+    rel = _relative_bias(w, cfg, *offsets.shape, s)
+    return add(_mha(q, k, xp, cfg.heads, bias if rel is None else add(rel, bias), capture), q)
 
 
 _CORES = {

@@ -16,7 +16,7 @@ im2col columns from it again), so nothing may modify an input in place between
 the forward and the backward; ``gradcheck`` perturbs only after ``backward``.
 Dtypes do not mix: ``add`` and ``mul`` take a scalar operand as a Python float,
 which NEP 50 keeps "weak" (a numpy float64 scalar would promote f32 to f64), and
-``_accumulate`` refuses a gradient whose dtype differs from its tensor's.
+``_accumulate`` refuses a gradient whose dtype or shape differs from its tensor's.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if g.dtype != self.data.dtype:
             raise GraphError(f"{g.dtype} gradient for a {self.data.dtype} tensor of shape {self.shape}")
+        if g.shape != self.shape:
+            raise GraphError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g

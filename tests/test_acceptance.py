@@ -40,7 +40,7 @@ def miniature_config(**overrides):
     return ModelConfig.create(**{**MINI_CONFIG, **overrides})
 
 
-def test_criterion_01_gradient_fidelity():
+def test_criterion_01_gradient_fidelity(model_checks):
     start = time.monotonic()
     worst_name, worst = "", 0.0
     for name, run in op_checks(seed=0):
@@ -49,6 +49,7 @@ def test_criterion_01_gradient_fidelity():
         if err > worst:
             worst_name, worst = name, err
     model_err = model_check(miniature_config(), seed=0, eps=1e-5)
+    model_checks.record(model_err, miniature_config(), seed=0, eps=1e-5)  # timed here, reused later
     assert model_err <= 1e-3, f"miniature model: {model_err:.3e} > 1e-3"
     elapsed = time.monotonic() - start
     assert elapsed <= 120.0, f"gradient fidelity took {elapsed:.0f}s > 2 min"
@@ -232,12 +233,12 @@ def _forward_trace_and_rows(config):
     assert logits.shape == (1, config.num_classes)
 
 
-def test_criterion_09_ablation_parity(tmp_path):
+def test_criterion_09_ablation_parity(tmp_path, model_checks):
     settings = [("variant", v) for v in A.VARIANTS]
     settings += [("pos_encoding", p) for p in A.POS_ENCODINGS[1:]]
     for knob, value in settings:
         # criterion 1, unchanged: miniature end-to-end gradient fidelity
-        err = model_check(miniature_config(**{knob: value}), seed=0)
+        err = model_checks(miniature_config(**{knob: value}), seed=0)
         assert err <= 1e-3, f"{knob}={value}: gradient error {err:.2e}"
         # criteria 3 and 4, unchanged: halving trace + normalized rows
         _forward_trace_and_rows(ModelConfig.create(

@@ -1,5 +1,6 @@
 """Windowed-query attention: counting laws, path equivalence, variants, encodings."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from lganet import attention as A
 from lganet.errors import ConfigError, ShapeError
 from lganet.gradcheck import _weighted_sum, max_rel_error
-from lganet.ops import LAYER_NORM_EPS, conv1d, layer_norm
-from lganet.tensor import Tensor, narrow, pad_axis, stack, tmean, tsum
+from lganet.ops import LAYER_NORM_EPS, avg_pool1d, conv1d, layer_norm
+from lganet.tensor import (Tensor, add, narrow, pad_axis, reshape, stack, tmean, tsum,
+                           unfold_windows)
 
 R64 = dict(dtype="f64")
 
@@ -347,6 +349,81 @@ def test_local_qkv_matches_numpy_oracle():
     got = A.attention_variant(Tensor(x, **R64), cfg, w).data
     assert got.shape == (2, 8, 8)
     assert np.abs(got - numpy_local_qkv_oracle(x, cfg, w)).max() <= 1e-12
+
+
+def reference_local_core(x_norm, cfg, w, capture=None):
+    """`LOCAL_QKV` window by window: every overlapping window is copied out and
+    attended as its own batch row, its one mean query against its l keys; the
+    captured weights are [B*M, H, 1, l]."""
+    b, n, d = x_norm.shape
+    l, s = cfg.window_len, cfg.stride
+    xw = unfold_windows(pad_axis(x_norm, 1, cfg.halo, cfg.halo), l, s)  # [B, M, l, D]
+    m = xw.shape[1]
+    q, kw = tmean(xw, axis=2), xw
+    if cfg.pos_encoding in (A.PE_SINUSOIDAL, A.PE_LEARNABLE):
+        pe = pad_axis(A._ape_rows(w, cfg, n), 1, cfg.halo, cfg.halo)
+        q, kw = add(q, avg_pool1d(pe, l, s)), add(kw, unfold_windows(pe, l, s))
+    o = A._mha(reshape(q, (b * m, 1, d)), reshape(kw, (b * m, l, d)), reshape(xw, (b * m, l, d)),
+               cfg.heads, A._relative_bias(w, cfg, 1, l), capture)
+    return add(reshape(o, (b, m, d)), q)
+
+
+@pytest.mark.parametrize("pe", A.POS_ENCODINGS)
+@pytest.mark.parametrize("n,l,s,halving", [(16, 6, 2, True), (32, 64, 2, True),
+                                           (12, 3, 3, True), (16, 4, 2, False)])
+def test_local_qkv_band_matches_per_window_reference(pe, n, l, s, halving):
+    cfg = A.LgaConfig(embed_dim=8, heads=2, window_len=l, stride=s, halving=halving,
+                      variant=A.VARIANT_LOCAL_QKV, pos_encoding=pe, max_len=n)
+    rng = np.random.default_rng(25)
+    x = rng.uniform(-1, 1, (2, n, 8))
+
+    def run(core):
+        w = make_weights(cfg, seed=26)
+        for table in (w.ape, w.rel):
+            if table is not None:
+                table.data[:] = np.random.default_rng(27).uniform(-0.5, 0.5, table.shape)
+        xt = Tensor(x, requires_grad=True, **R64)
+        capture = {}
+        out = core(xt, cfg, w, capture)
+        _weighted_sum(out).backward()
+        # the layer norm is not part of the core, so only the tables get gradients
+        grads = [xt.grad] + [t.grad for t in w.parameters("w").values() if t.grad is not None]
+        return out.data, capture["attn"][0], grads
+
+    out, attn, grads = run(A.attention_core)
+    ref_out, ref_attn, ref_grads = run(reference_local_core)
+    assert np.abs(out - ref_out).max() <= 1e-12
+    assert len(grads) == len(ref_grads) == 1 + (pe in (A.PE_LEARNABLE, A.PE_RELATIVE))
+    for got, want in zip(grads, ref_grads):
+        assert np.abs(got - want).max() <= 1e-12
+    b, h, m, n_keys = attn.shape
+    assert (m, n_keys) == (ref_out.shape[1], n + 2 * cfg.halo)
+    rows = np.arange(m)[:, None]
+    band = s * rows + np.arange(l)  # window i's keys
+    in_band = attn[:, :, rows, band]  # [B, H, M, l]
+    assert np.abs(in_band - ref_attn.reshape(b, m, h, l).transpose(0, 2, 1, 3)).max() <= 1e-12
+    outside = np.ones((m, n_keys), dtype=bool)
+    outside[rows, band] = False
+    assert not attn[:, :, outside].any()
+
+
+def test_recorded_local_qkv_holds_no_window_copies():
+    # stage-1 shapes of the paper model: N=256, D=128, H=4, l=64, stride 2, at B=2. A copy
+    # of every window, [2, 128, 64, 128] f32, is 8 MiB alone (the per-window path held
+    # 25.5 MiB); the banded [2, 4, 128, 318] scores leave the core holding 6.7 MiB
+    cfg = A.LgaConfig(embed_dim=128, heads=4, window_len=64, stride=2,
+                      variant=A.VARIANT_LOCAL_QKV)
+    w = A.LgaWeights.create(cfg, np.random.default_rng(28))
+    x = Tensor(np.random.default_rng(29).uniform(-1, 1, (2, 256, 128)), requires_grad=True,
+               dtype="f32")
+    tracemalloc.start()
+    try:
+        out = A.attention_core(x, cfg, w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held <= 8 << 20
 
 
 def test_global_qkv_coincides_with_lga_at_window_eq_stride():

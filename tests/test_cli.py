@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lganet
-from lganet import cli, ops, training
+from lganet import cli, gradcheck, ops, training
 from lganet.cli import main, parse_run_config
 from lganet.data import read_dataset, read_dataset_header
 from lganet.errors import ConfigError, FormatError
@@ -314,7 +314,8 @@ def test_train_determinism_hash_identical(tmp_path):
         assert sha256(out_a / name) == sha256(out_b / name), name
 
 
-def test_gradcheck_command_passes(tmp_path, capsys):
+def test_gradcheck_command_passes(tmp_path, capsys, monkeypatch, model_checks):
+    monkeypatch.setattr(gradcheck, "model_check", model_checks)  # the shared miniature result
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "max_rel_err" in out and "FAIL" not in out

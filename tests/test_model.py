@@ -382,10 +382,10 @@ def test_input_of_another_dtype_is_refused_before_any_op(precision, other, monke
         model.forward(x)
 
 
-def test_miniature_end_to_end_gradient_check():
+def test_miniature_end_to_end_gradient_check(model_checks):
     cfg = ModelConfig.create(**MINI_CONFIG)
     assert (cfg.leads, cfg.input_len, cfg.embed_dim, cfg.heads, cfg.num_stages) == (2, 64, 8, 2, 2)
-    err = model_check(cfg, seed=0)
+    err = model_checks(cfg, seed=0)
     assert err <= 1e-3
 
 

@@ -117,6 +117,13 @@ def test_a_gradient_of_another_dtype_is_refused():
         y.backward()
 
 
+def test_a_gradient_of_another_shape_is_refused():
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype="f32")
+    with pytest.raises(GraphError, match=r"gradient of shape \(1,\) for a tensor of shape \(3,\)"):
+        x._accumulate(np.ones(1, np.float32))  # would broadcast into all three entries
+    assert x.grad is None
+
+
 @pytest.mark.parametrize("op", [T.add, T.mul, T.sub])
 def test_a_numpy_f64_scalar_operand_keeps_an_f32_op_f32(op):
     x = Tensor([1.0, 2.0, 3.0], dtype="f32")
