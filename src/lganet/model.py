@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
 from .attention import VARIANT_SWIN, VARIANT_VIT, LgaConfig, LgaWeights, attention_core
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, LganetError
 from .ops import (
     Conv1dParams,
     LayerNormParams,
@@ -97,6 +98,12 @@ class ModelConfig:
     @property
     def dtype(self) -> np.dtype:
         return resolve_dtype(self.precision)
+
+
+def _within(part: str, exc: LganetError) -> LganetError:
+    """``exc`` again, of the same type, its message prefixed with the model ``part``
+    (``front2``, ``stage1``, ``head``) whose forward raised it."""
+    return type(exc)(f"{part}: {exc}").with_traceback(exc.__traceback__)
 
 
 class ResBlock:
@@ -198,15 +205,26 @@ class Model:
         if x.dtype != self.dtype:
             raise ConfigError(f"input dtype {x.dtype} does not match model precision {self.config.precision}")
         x = transpose(x, (0, 2, 1))  # [B, leads, N] -> [B, N, leads]
-        for blk in self.res_blocks:
-            x = blk.forward(x)
+        for i, blk in enumerate(self.res_blocks, 1):
+            try:
+                x = blk.forward(x)
+            except LganetError as exc:
+                raise _within(f"front{i}", exc) from None
         return x
 
     def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
+        """Logits [B, classes] of an input [B, leads, input_len]. An error raised
+        inside a front-end block, a stage or the head names it: ``stage2: ...``."""
         h = self.front_end(x)
-        for blk in self.blocks:
-            h = blk.forward(h, capture)
-        return linear(tmean(h, axis=1), self.head_w, self.head_b)
+        for i, blk in enumerate(self.blocks, 1):
+            try:
+                h = blk.forward(h, capture)
+            except LganetError as exc:
+                raise _within(f"stage{i}", exc) from None
+        try:
+            return linear(tmean(h, axis=1), self.head_w, self.head_b)
+        except LganetError as exc:
+            raise _within("head", exc) from None
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -235,11 +253,22 @@ class Model:
             tensor.grad = None
 
     def save(self, path) -> None:
-        write_weights(path, self.parameters())
-        sidecar = str(path) + ".json"
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump({"model": asdict(self.config)}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Write the weights to ``path`` and the config to ``path + ".json"``, each
+        first to a temp file in the same directory; only once both are whole do they
+        replace the earlier pair, so a failed save leaves that pair as it was."""
+        weights, sidecar = str(path), str(path) + ".json"
+        temps = {name: f"{name}.{os.getpid()}.tmp" for name in (weights, sidecar)}
+        try:
+            write_weights(temps[weights], self.parameters())
+            with open(temps[sidecar], "w", encoding="utf-8") as fh:
+                json.dump({"model": asdict(self.config)}, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            for name, temp in temps.items():
+                os.replace(temp, name)
+        finally:
+            for temp in temps.values():
+                if os.path.exists(temp):
+                    os.remove(temp)
 
     @classmethod
     def load(cls, path, precision: str | None = None) -> "Model":

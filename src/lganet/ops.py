@@ -1,9 +1,10 @@
 """Neural building blocks: 1-D convolution, pooling, layer norm, linear, activations.
 
 All layers are pure functions of their inputs and parameters that hand
-``_result`` their forward value and a ``backward(g)``, so they compose freely
-with the ops in ``tensor``. Sequences are channels-last, [B, L, C], for every
-layer: the layout of the attention stack, so no op needs a transpose around it.
+``_result`` their forward value and a ``backward(g, *sinks)``, so they compose
+freely with the ops in ``tensor``. Sequences are channels-last, [B, L, C], for
+every layer: the layout of the attention stack, so no op needs a transpose
+around it.
 """
 
 from __future__ import annotations
@@ -115,26 +116,27 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     for at in blocks:
         np.matmul(windows[at].reshape(-1, k * c), w2.T, out=val[at].reshape(-1, c_out))
     val += p.bias.data
-    def backward(g):  # g: [B, L_out, C_out]
-        if p.bias.requires_grad:
-            p.bias._accumulate(g.sum(axis=(0, 1)))
-        if p.weight.requires_grad:
-            cols = _window_view(_padded(x.data, pad), k, 1)
+    x_data = x.data if p.weight.requires_grad else None  # dw reads the input, gx the weight
+    def backward(g, sx, sw, sb):  # g: [B, L_out, C_out]
+        if sb is not None:
+            sb._accumulate(g.sum(axis=(0, 1)))
+        if sw is not None:
+            cols = _window_view(_padded(x_data, pad), k, 1)
             dw = np.zeros((c_out, k * c), g.dtype)
-        if x.requires_grad:
+        if sx is not None:
             gx = np.zeros((b, length + 2 * pad, c), g.dtype)
         for items, positions in reversed(blocks):
             g_blk = g[items, positions]
             g2 = g_blk.reshape(-1, c_out)
-            if p.weight.requires_grad:
+            if sw is not None:
                 dw += g2.T @ cols[items, positions].reshape(-1, k * c)
-            if x.requires_grad:
+            if sx is not None:
                 rows = slice(positions.start, positions.stop + k - 1)
                 _fold_windows((g2 @ w2).reshape(*g_blk.shape[:2], k, c), gx[items, rows], 1)
-        if p.weight.requires_grad:
-            p.weight._accumulate(dw.reshape(c_out, k, c).transpose(0, 2, 1))
-        if x.requires_grad:
-            x._accumulate(gx[:, pad : pad + length] if pad else gx)
+        if sw is not None:
+            sw._accumulate(dw.reshape(c_out, k, c).transpose(0, 2, 1))
+        if sx is not None:
+            sx._accumulate(gx[:, pad : pad + length] if pad else gx)
     return _result(val, (x, p.weight, p.bias), "conv1d", backward)
 
 
@@ -168,17 +170,17 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
-    def backward(g):
+    def backward(g, sx, sg, sb):
         lead = tuple(range(g.ndim - 1))
-        if p.gamma.requires_grad:
-            p.gamma._accumulate((g * xhat).sum(axis=lead))
-        if p.beta.requires_grad:
-            p.beta._accumulate(g.sum(axis=lead))
-        if x.requires_grad:
+        if sg is not None:
+            sg._accumulate((g * xhat).sum(axis=lead))
+        if sb is not None:
+            sb._accumulate(g.sum(axis=lead))
+        if sx is not None:
             gh = g * p.gamma.data
             s1 = gh.sum(axis=-1, keepdims=True)
             s2 = (gh * xhat).sum(axis=-1, keepdims=True)
-            x._accumulate((inv / d) * (d * gh - s1 - xhat * s2))
+            sx._accumulate((inv / d) * (d * gh - s1 - xhat * s2))
     return _result(p.gamma.data * xhat + p.beta.data, (x, p.gamma, p.beta), "layer_norm", backward)
 
 
@@ -196,9 +198,9 @@ def max_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
         if idx is not None:
             np.copyto(idx, j, where=sl > val)
         np.maximum(val, sl, out=val)
-    def backward(g):  # window j of each output takes g where its maximum sat at j
+    def backward(g, sx):  # window j of each output takes g where its maximum sat at j
         hit = idx[:, :, None] == np.arange(kernel)[:, None]  # [B, L_out, kernel, C]
-        x._accumulate(_fold_windows(hit * g[:, :, None], np.zeros(x.shape, g.dtype), stride))
+        sx._accumulate(_fold_windows(hit * g[:, :, None], np.zeros(sx.shape, g.dtype), stride))
     return _result(val, (x,), "max_pool1d", backward)
 
 
@@ -212,10 +214,10 @@ def avg_pool1d(x: Tensor, kernel: int, stride: int) -> Tensor:
     for j in range(1, kernel):
         val += x.data[:, j : j + span : stride]
     val /= kernel
-    def backward(g):  # every member of a window takes an equal share
+    def backward(g, sx):  # every member of a window takes an equal share
         b, l_out, c = g.shape
         share = np.broadcast_to((g / kernel)[:, :, None], (b, l_out, kernel, c))
-        x._accumulate(_fold_windows(share, np.zeros(x.shape, share.dtype), stride))
+        sx._accumulate(_fold_windows(share, np.zeros(sx.shape, share.dtype), stride))
     return _result(val, (x,), "avg_pool1d", backward)
 
 
@@ -236,7 +238,10 @@ def linear_params(d_in: int, d_out: int, rng: np.random.Generator,
 
 
 def relu(x: Tensor) -> Tensor:
-    return _result(np.maximum(x.data, 0), (x,), "relu", lambda g: x._accumulate(g * (x.data > 0)))
+    """max(x, 0); the backward masks with its own output (y > 0 exactly where x > 0),
+    so the graph keeps no input value."""
+    y = np.maximum(x.data, 0)
+    return _result(y, (x,), "relu", lambda g, sx: sx._accumulate(g * (y > 0)))
 
 
 def _sigmoid_np(z: np.ndarray) -> np.ndarray:
@@ -251,4 +256,4 @@ def _sigmoid_np(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     y = _sigmoid_np(x.data)
-    return _result(y, (x,), "sigmoid", lambda g: x._accumulate(g * y * (1.0 - y)))
+    return _result(y, (x,), "sigmoid", lambda g, sx: sx._accumulate(g * y * (1.0 - y)))

@@ -2,21 +2,29 @@
 
 Values are stored in contiguous numpy arrays (float32 for training,
 float64 for gradient checking). An op is its forward value plus a
-``backward(g)`` that accumulates the vector-Jacobian product of the
-cotangent ``g`` into its inputs; ``_result`` alone decides whether to
-record it as a graph node. ``Tensor.backward`` replays the recorded nodes in
-reverse topological order, accumulating gradients additively across
-fan-out. Backward releases the graph as it consumes it: after a node's
-closure runs, the node drops its closure, its parents and (unless it is a
-leaf) its gradient. A closure refers to its own output, so an unreleased
-graph is a reference cycle that only the cycle collector frees; released,
-it is freed by refcounting during backward, and can be replayed only once.
-A closure reads its inputs' ``.data`` when it runs (``conv1d`` copies its
-im2col columns from it again), so nothing may modify an input in place between
-the forward and the backward; ``gradcheck`` perturbs only after ``backward``.
+``backward(g, *sinks)`` that accumulates the vector-Jacobian product of the
+cotangent ``g`` into its inputs' gradient sinks; ``_result`` alone decides
+whether to record it. A recorded output gets a small graph node (``_Node``)
+that holds the op, its parents' sinks, the closure, a gradient slot and the
+output's shape and dtype, but never a value. A sink is where a gradient goes:
+the node of a recorded input, or the input itself when it is a leaf, so no
+leaf refers to a node and the graph holds no cycle. ``Tensor.backward``
+replays the recorded nodes in reverse topological order, accumulating
+gradients additively across fan-out. Backward releases the graph as it
+consumes it: after a node's closure runs, the node drops its closure, its
+parents and its gradient, and the graph can be replayed only once.
+A closure is handed its inputs' sinks when it runs and captures only the
+arrays it reads (``matmul``, ``mul`` and ``conv1d`` their inputs' values,
+``layer_norm`` its normalized input, ``max_pool1d`` its argmax indices,
+``softmax``, ``sigmoid`` and ``relu`` their own outputs), so a forward's other
+intermediates are freed by refcounting as soon as the op that reads them
+returns. The captured arrays are the inputs' own buffers, so nothing may
+modify an input in place between the forward and the backward; ``gradcheck``
+perturbs only after ``backward``.
 Dtypes do not mix: ``add`` and ``mul`` take a scalar operand as a Python float,
 which NEP 50 keeps "weak" (a numpy float64 scalar would promote f32 to f64), and
-``_accumulate`` refuses a gradient whose dtype or shape differs from its tensor's.
+``_accumulate`` refuses a gradient whose dtype or shape differs from its tensor's,
+naming the op that made the tensor.
 """
 
 from __future__ import annotations
@@ -60,9 +68,10 @@ def no_grad() -> Iterator[None]:
 
 
 class Tensor:
-    """N-dimensional float array with an optional gradient slot."""
+    """N-dimensional float array; a leaf keeps its own gradient, an op output that
+    was recorded keeps its graph node, which holds the gradient until backward."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "requires_grad", "_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
@@ -72,11 +81,9 @@ class Tensor:
             if arr.dtype not in (np.float32, np.float64):
                 arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._backward = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._op = "leaf"
+        self._grad = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,6 +101,37 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
+    # The graph fields read and write the node, so code that wraps a recorded
+    # output's backward or rewrites its gradient works on the output itself; on
+    # an unrecorded output, setting ``_backward`` does nothing.
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def _backward(self) -> Callable[[], None] | None:
+        node = self._node
+        if node is None or node.fn is None:
+            return None
+        return node.hook if node.hook is not None else node.run
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[], None]) -> None:
+        if self._node is not None:
+            self._node.hook = fn
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node.parents
+
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.size == 1 else self._not_scalar()
 
@@ -101,50 +139,88 @@ class Tensor:
         raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if g.dtype != self.data.dtype:
-            raise GraphError(f"{g.dtype} gradient for a {self.data.dtype} tensor of shape {self.shape}")
-        if g.shape != self.shape:
-            raise GraphError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self._node is not None:
+            return self._node._accumulate(g)
+        _check_grad(g, self.data.dtype, self.shape, None)
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        self._grad += g
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable leaf with d(self)/d(leaf),
         releasing the graph on the way (see the module docstring)."""
         if self.size != 1:
             raise GraphError(f"backward requires a scalar, got shape {self.shape}")
-        if not self.requires_grad or self._op == "leaf":
+        root = self._node
+        if not self.requires_grad or root is None:
             raise GraphError("backward called on a detached tensor (no recorded graph)")
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        order: list[_Node] = []
+        visited: set[_Node] = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            if node._backward is None and node._op != "leaf":
-                raise GraphError(f"backward reached op '{node._op}' whose graph was already "
+            if node.fn is None:
+                raise GraphError(f"backward reached op '{node.op}' whose graph was already "
                                  "consumed by an earlier backward()")
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+            for parent in node.parents:  # a leaf or None has nothing to replay
+                if type(parent) is _Node and parent not in visited:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while order:
             node = order.pop()  # drop the list's reference so a consumed node is freed now
-            if node._backward is not None:
-                node._backward()
-                node._backward = None
-                node._parents = ()
-                node.grad = None
+            (node.hook or node.run)()
+            node.fn = node.hook = None
+            node.parents = ()
+            node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
+
+
+class _Node:
+    """The graph record of one op output: its op, its parents' gradient sinks (one
+    per parent, None for a parent that requires no gradient), its backward closure
+    ``fn(g, *sinks)``, its gradient, and its shape and dtype, but not its value.
+    ``hook`` is a zero-argument replacement for ``run`` that wrapping code installs
+    through ``Tensor._backward``; backward calls it instead of ``run``."""
+
+    __slots__ = ("op", "parents", "fn", "hook", "grad", "shape", "dtype")
+
+    def __init__(self, op: str, parents: tuple, fn: Callable[..., None],
+                 shape: tuple[int, ...], dtype: np.dtype):
+        self.op = op
+        self.parents = parents
+        self.fn = fn
+        self.hook = None
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+
+    def run(self) -> None:
+        self.fn(self.grad, *self.parents)
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        _check_grad(g, self.dtype, self.shape, self.op)
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, self.dtype)
+        self.grad += g
+
+
+def _check_grad(g: np.ndarray, dtype: np.dtype, shape: tuple[int, ...], op: str | None) -> None:
+    """Refuse a gradient whose dtype or shape differs from its tensor's, naming the
+    op that made the tensor (``op`` is None for a leaf)."""
+    if g.dtype != dtype or g.shape != shape:
+        owner = f"a {dtype} leaf" if op is None else f"the {dtype} output of '{op}'"
+        if g.dtype != dtype:
+            raise GraphError(f"{g.dtype} gradient for {owner} of shape {shape}")
+        raise GraphError(f"gradient of shape {g.shape} for {owner} of shape {shape}")
 
 
 def _records(parents: Sequence[Tensor]) -> bool:
@@ -153,24 +229,26 @@ def _records(parents: Sequence[Tensor]) -> bool:
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], op: str,
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+            backward: Callable[..., None]) -> Tensor:
     """The output of ``op`` on ``parents``, and the only code that records a graph
-    node: when ``_records(parents)``, the node's backward runs ``backward(out.grad)``."""
+    node: when ``_records(parents)``, the node's backward runs ``backward(grad,
+    *sinks)``. A parent's sink is where its gradient goes: its node when an op
+    recorded it, the parent itself when it is a leaf, None when it requires no
+    gradient. So ``backward`` refers to no input ``Tensor``: it keeps only the
+    arrays it reads, and the graph holds no value it does not need."""
     if not np.isfinite(data).all():
         shapes = ", ".join(str(p.shape) for p in parents)
         raise NumericsError(f"non-finite values produced by op '{op}' on inputs of shape {shapes}")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._op = op
+    out._grad = None
     if _records(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = lambda: backward(out.grad)
+        sinks = tuple((p._node or p) if p.requires_grad else None for p in parents)
+        out._node = _Node(op, sinks, backward, data.shape, data.dtype)
     else:
         out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+        out._node = None
     return out
 
 
@@ -190,12 +268,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        return _result(a.data + float(b), (a,), "add_scalar", a._accumulate)
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        return _result(a.data + float(b), (a,), "add_scalar", lambda g, sa: sa._accumulate(g))
+    def backward(g, sa, sb):
+        if sa is not None:
+            sa._accumulate(_unbroadcast(g, sa.shape))
+        if sb is not None:
+            sb._accumulate(_unbroadcast(g, sb.shape))
     return _result(a.data + b.data, (a, b), "add", backward)
 
 
@@ -208,12 +286,15 @@ def sub(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         b = float(b)
-        return _result(a.data * b, (a,), "mul_scalar", lambda g: a._accumulate(g * b))
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        return _result(a.data * b, (a,), "mul_scalar", lambda g, sa: sa._accumulate(g * b))
+    # each side's gradient reads the other side's value
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    def backward(g, sa, sb):
+        if sa is not None:
+            sa._accumulate(_unbroadcast(g * b_data, sa.shape))
+        if sb is not None:
+            sb._accumulate(_unbroadcast(g * a_data, sb.shape))
     return _result(a.data * b.data, (a, b), "mul", backward)
 
 
@@ -225,13 +306,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    def backward(g, sa, sb):
+        if sa is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            sa._accumulate(_unbroadcast(ga, sa.shape))
+        if sb is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            sb._accumulate(_unbroadcast(gb, sb.shape))
     return _result(np.matmul(a.data, b.data), (a, b), "matmul", backward)
 
 
@@ -242,9 +325,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    def backward(g):
+    def backward(g, sx):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        x._accumulate(y * (g - dot))
+        sx._accumulate(y * (g - dot))
     return _result(y, (x,), "softmax", backward)
 
 
@@ -261,21 +344,21 @@ def _norm_axis(axis, ndim: int):
 
 def tsum(x: Tensor, axis=None) -> Tensor:
     axes = _norm_axis(axis, x.ndim)
-    def backward(g):
+    def backward(g, sx):
         if axes is not None:
             g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
+        sx._accumulate(np.broadcast_to(g, sx.shape).astype(sx.dtype, copy=False))
     return _result(x.data.sum(axis=axes), (x,), "sum", backward)
 
 
 def tmean(x: Tensor, axis=None) -> Tensor:
     axes = _norm_axis(axis, x.ndim)
     count = x.size if axes is None else int(np.prod([x.shape[a] for a in axes]))
-    def backward(g):
+    def backward(g, sx):
         g = g / count
         if axes is not None:
             g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
+        sx._accumulate(np.broadcast_to(g, sx.shape).astype(sx.dtype, copy=False))
     return _result(x.data.mean(axis=axes), (x,), "mean", backward)
 
 
@@ -285,20 +368,20 @@ def tmean(x: Tensor, axis=None) -> Tensor:
 def transpose(x: Tensor, axes) -> Tensor:
     perm = tuple(axes)
     return _result(np.ascontiguousarray(x.data.transpose(perm)), (x,), "transpose",
-                   lambda g: x._accumulate(g.transpose(np.argsort(perm))))
+                   lambda g, sx: sx._accumulate(g.transpose(np.argsort(perm))))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), "reshape",
-                   lambda g: x._accumulate(g.reshape(x.shape)))
+                   lambda g, sx: sx._accumulate(g.reshape(sx.shape)))
 
 
 def narrow(x: Tensor, key) -> Tensor:
     """Basic slicing / integer indexing with gradient routing."""
-    def backward(g):
-        gx = np.zeros_like(x.data)
+    def backward(g, sx):
+        gx = np.zeros(sx.shape, sx.dtype)
         gx[key] += g
-        x._accumulate(gx)
+        sx._accumulate(gx)
     return _result(np.ascontiguousarray(x.data[key]), (x,), "slice", backward)
 
 
@@ -306,27 +389,28 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concatenate needs at least one tensor")
     ax = axis % tensors[0].ndim
-    def backward(g):
-        offsets = np.cumsum([0] + [t.shape[ax] for t in tensors])
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+    sizes = [t.shape[ax] for t in tensors]
+    def backward(g, *sinks):
+        offsets = np.cumsum([0] + sizes)
+        for s, lo, hi in zip(sinks, offsets[:-1], offsets[1:]):
+            if s is not None:
                 sl = [slice(None)] * g.ndim
                 sl[ax] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
+                s._accumulate(g[tuple(sl)])
     return _result(np.concatenate([t.data for t in tensors], axis=ax), tensors, "concat", backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    def backward(g):
-        for t, piece in zip(tensors, np.moveaxis(g, axis, 0)):
-            if t.requires_grad:
-                t._accumulate(piece)
+    def backward(g, *sinks):
+        for s, piece in zip(sinks, np.moveaxis(g, axis, 0)):
+            if s is not None:
+                s._accumulate(piece)
     return _result(np.stack([t.data for t in tensors], axis=axis), tensors, "stack", backward)
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
     return _result(np.ascontiguousarray(np.broadcast_to(x.data, shape)), (x,), "broadcast",
-                   lambda g: x._accumulate(_unbroadcast(g, x.shape)))
+                   lambda g, sx: sx._accumulate(_unbroadcast(g, sx.shape)))
 
 
 def pad_axis(x: Tensor, axis: int, before: int, after: int) -> Tensor:
@@ -339,7 +423,7 @@ def pad_axis(x: Tensor, axis: int, before: int, after: int) -> Tensor:
     inner = (slice(None),) * ax + (slice(before, before + x.shape[ax]),)
     out = np.zeros(shape, x.dtype)
     out[inner] = x.data
-    return _result(out, (x,), "pad", lambda g: x._accumulate(g[inner]))
+    return _result(out, (x,), "pad", lambda g, sx: sx._accumulate(g[inner]))
 
 
 def take_rows(table: Tensor, index: np.ndarray) -> Tensor:
@@ -349,10 +433,10 @@ def take_rows(table: Tensor, index: np.ndarray) -> Tensor:
         raise ShapeError("take_rows index must be an integer array")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"take_rows index out of range for table of {table.shape[0]} rows")
-    def backward(g):
-        gt = np.zeros_like(table.data)
+    def backward(g, st):
+        gt = np.zeros(st.shape, st.dtype)
         np.add.at(gt, idx, g)
-        table._accumulate(gt)
+        st._accumulate(gt)
     return _result(table.data[idx], (table,), "take_rows", backward)
 
 
@@ -386,7 +470,7 @@ def unfold_windows(x: Tensor, size: int, step: int) -> Tensor:
     if n < size:
         raise ShapeError(f"sequence length {n} shorter than window {size}")
     return _result(np.ascontiguousarray(_window_view(x.data, size, step)), (x,), "unfold",
-                   lambda g: x._accumulate(_fold_windows(g, np.zeros(x.shape, g.dtype), step)))
+                   lambda g, sx: sx._accumulate(_fold_windows(g, np.zeros(sx.shape, g.dtype), step)))
 
 
 # -- weight file format -------------------------------------------------------

@@ -26,7 +26,7 @@ def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     # max(z,0) - z*y + log(1+exp(-|z|)) avoids overflow on both tails
     val = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     return _result(np.asarray(val.mean()), (logits,), "bce_loss",
-                   lambda g: logits._accumulate(g * (_sigmoid_np(z) - y) / z.size))
+                   lambda g, sz: sz._accumulate(g * (_sigmoid_np(z) - y) / z.size))
 
 
 @dataclass

@@ -100,8 +100,8 @@ def test_backward_releases_the_graph_and_runs_once():
     loss = T.tsum(y)
     loss.backward()
     assert x.grad.tolist() == [2.0, 4.0]
-    for node in (y, loss):
-        assert node._backward is None and node._parents == () and node.grad is None
+    for node in (y._node, loss._node):
+        assert node.fn is None and node.parents == () and node.grad is None
     with pytest.raises(GraphError, match="already consumed"):
         loss.backward()
     with pytest.raises(GraphError, match="already consumed"):
@@ -113,15 +113,27 @@ def test_a_gradient_of_another_dtype_is_refused():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype="f32")
     y = T.tsum(T.mul(x, Tensor([2.0], dtype="f64")))  # an f64 operand makes y f64
     assert y.dtype == np.float64
-    with pytest.raises(GraphError, match=r"float64 gradient for a float32 tensor of shape \(3,\)"):
+    with pytest.raises(GraphError, match=r"float64 gradient for a float32 leaf of shape \(3,\)"):
         y.backward()
 
 
 def test_a_gradient_of_another_shape_is_refused():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype="f32")
-    with pytest.raises(GraphError, match=r"gradient of shape \(1,\) for a tensor of shape \(3,\)"):
+    with pytest.raises(GraphError, match=r"gradient of shape \(1,\) for a float32 leaf of shape \(3,\)"):
         x._accumulate(np.ones(1, np.float32))  # would broadcast into all three entries
     assert x.grad is None
+
+
+def test_a_refused_gradient_names_the_op_that_made_the_tensor():
+    a = Tensor(np.ones((2, 4)), requires_grad=True, dtype="f32")
+    out = T.matmul(a, Tensor(np.ones((4, 3)), dtype="f32"))
+    with pytest.raises(GraphError, match=r"^float64 gradient for the float32 output of 'matmul' "
+                                         r"of shape \(2, 3\)$"):
+        out._accumulate(np.ones((2, 3)))
+    with pytest.raises(GraphError, match=r"^gradient of shape \(3,\) for the float32 output of "
+                                         r"'matmul' of shape \(2, 3\)$"):
+        out._accumulate(np.ones(3, np.float32))
+    assert out.grad is None
 
 
 @pytest.mark.parametrize("op", [T.add, T.mul, T.sub])
@@ -193,12 +205,14 @@ RECORDING_CASES = {
 
 
 def recorded_leaves(out):
-    leaves, stack = [], [out]
+    """The leaves that ``out``'s graph nodes send gradients to."""
+    leaves, stack = [], [out._node]
     while stack:
         node = stack.pop()
-        if node._op == "leaf":
+        if isinstance(node, Tensor):  # a leaf is its own sink
             leaves.append(node)
-        stack.extend(node._parents)
+        elif node is not None:  # None: a parent that requires no grad
+            stack.extend(node.parents)
     return leaves
 
 
