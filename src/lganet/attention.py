@@ -11,7 +11,10 @@ Every variant is scaled dot-product attention and differs only in how it
 builds Q, K, V and the relative score bias: each core builds those as
 `[B', M, D]` queries and `[B', N, D]` keys/values and calls the one kernel,
 `_mha` (head split, scores, bias, softmax, capture, weighted sum, head
-merge). Only `SWIN_LIKE`, whose windows do not overlap, makes every window a
+merge). When no operand records a graph, `_mha` forms the scores in blocks of
+whole batch rows and normalizes each block in place, so a no-grad forward holds
+one block's scores (at most `COLUMN_BLOCK_BYTES` unless one row is larger) at a
+time. Only `SWIN_LIKE`, whose windows do not overlap, makes every window a
 batch row. `LOCAL_QKV` masks its scores to each window's band of keys, so its
 captured weights are `[B, H, M, N + 2·halo]`, zero off the band.
 """
@@ -23,9 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .ops import Conv1dParams, LayerNormParams, avg_pool1d, conv1d, layer_norm
+from .ops import Conv1dParams, LayerNormParams, _blocks, avg_pool1d, conv1d, layer_norm
 from .tensor import (
     Tensor,
+    _check_finite,
+    _records,
     add,
     concatenate,
     matmul,
@@ -196,23 +201,60 @@ def _mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """Multi-head scaled dot-product attention; q is [B', M, D], k/v [B', N, D] -> [B', M, D].
 
     Q and V split to [B', H, ., Dh]; K goes straight to [B', H, Dh, N], so each
-    operand is transposed once. Each split is made where it is used, so under
-    no_grad its copy is freed before the softmax runs. ``bias`` broadcasts onto
-    the [B', H, M, N] scores; the softmax weights are appended to
-    ``capture["attn"]`` when a capture dict is given.
+    operand is transposed once. ``bias`` is an [M, N] score bias; the softmax
+    weights go to ``capture["attn"]`` as one [B', H, M, N] array when a capture
+    dict is given.
+
+    When no operand records a graph, the split, scores and softmax run in the
+    batch-row blocks of ``ops._blocks`` (at most ``COLUMN_BLOCK_BYTES`` of scores
+    unless one row is larger), in place and in the recorded path's order, and each
+    block writes its rows of one [B', H, M, Dh] output. So the values, and the
+    finiteness checks, are the recorded path's, bit for bit.
     """
     b, m, d = q.shape
+    n = k.shape[1]
     dh = d // heads
-    def split(t, axes):
-        return transpose(reshape(t, (b, t.shape[1], heads, dh)), axes)
     # a Python float is a "weak" scalar (NEP 50): a numpy float64 here would promote f32 to f64
-    scores = mul(matmul(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1))), float(1.0 / np.sqrt(dh)))
-    if bias is not None:
-        scores = add(scores, bias)
-    attn = softmax(scores, axis=-1)
-    if capture is not None:
-        capture.setdefault("attn", []).append(attn.data)
-    return reshape(transpose(matmul(attn, split(v, (0, 2, 1, 3))), (0, 2, 1, 3)), (b, m, d))
+    scale = float(1.0 / np.sqrt(dh))
+    operands = (q, k, v) if bias is None else (q, k, v, bias)
+    if _records(operands):
+        def split(t, axes):
+            return transpose(reshape(t, (b, t.shape[1], heads, dh)), axes)
+        scores = mul(matmul(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1))), scale)
+        if bias is not None:
+            scores = add(scores, bias)
+        attn = softmax(scores, axis=-1)
+        if capture is not None:
+            capture.setdefault("attn", []).append(attn.data)
+        out = matmul(attn, split(v, (0, 2, 1, 3)))
+    else:
+        def split(t, at, axes):  # the block's rows of the recorded path's head split
+            return np.ascontiguousarray(
+                t.data[at].reshape(-1, t.shape[1], heads, dh).transpose(axes))
+        dtype = np.result_type(*(t.data for t in operands))
+        full = (b, heads, m, n)
+        heads_out = np.empty((b, heads, m, dh), dtype)
+        weights = np.empty(full, dtype) if capture is not None else None
+        for at, _ in _blocks(b, 1, heads * m * n * dtype.itemsize):
+            s = np.matmul(split(q, at, (0, 2, 1, 3)), split(k, at, (0, 2, 3, 1)))
+            _check_finite(s, "matmul", ((b, heads, m, dh), (b, heads, dh, n)))
+            s *= scale
+            _check_finite(s, "mul_scalar", (full,))
+            if bias is not None:
+                s += bias.data
+                _check_finite(s, "add", (full, bias.shape))
+            s -= s.max(axis=-1, keepdims=True)  # softmax, in tensor.softmax's order
+            np.exp(s, out=s)
+            s /= s.sum(axis=-1, keepdims=True)
+            _check_finite(s, "softmax", (full,))
+            if weights is not None:
+                weights[at] = s
+            np.matmul(s, split(v, at, (0, 2, 1, 3)), out=heads_out[at])
+            _check_finite(heads_out[at], "matmul", (full, (b, heads, n, dh)))
+        if weights is not None:
+            capture.setdefault("attn", []).append(weights)
+        out = Tensor(heads_out)
+    return reshape(transpose(out, (0, 2, 1, 3)), (b, m, d))
 
 
 def local_queries(x_norm: Tensor, cfg: LgaConfig, w: LgaWeights) -> Tensor:

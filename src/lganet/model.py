@@ -118,10 +118,10 @@ class ResBlock:
             self.skip = Conv1dParams.create(in_channels, out_channels, 1, 0, rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = conv1d(relu(conv1d(x, self.conv1)), self.conv2)
-        s = x if self.skip is None else conv1d(x, self.skip)
-        h = relu(add(h, s))
-        return max_pool1d(h, FRONT_POOL, FRONT_POOL)
+        # nested, so an unrecorded intermediate is freed as soon as the op reading it returns
+        return max_pool1d(relu(add(conv1d(relu(conv1d(x, self.conv1)), self.conv2),
+                                   x if self.skip is None else conv1d(x, self.skip))),
+                          FRONT_POOL, FRONT_POOL)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         out = {

@@ -228,6 +228,14 @@ def _records(parents: Sequence[Tensor]) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
+def _check_finite(data: np.ndarray, op: str, inputs: Sequence) -> None:
+    """Raise ``NumericsError`` naming ``op`` and the shapes of its ``inputs`` (each a
+    ``Tensor`` or a shape tuple) unless every value of ``data`` is finite."""
+    if not np.isfinite(data).all():
+        shapes = ", ".join(str(getattr(t, "shape", t)) for t in inputs)
+        raise NumericsError(f"non-finite values produced by op '{op}' on inputs of shape {shapes}")
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], op: str,
             backward: Callable[..., None]) -> Tensor:
     """The output of ``op`` on ``parents``, and the only code that records a graph
@@ -236,9 +244,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], op: str,
     recorded it, the parent itself when it is a leaf, None when it requires no
     gradient. So ``backward`` refers to no input ``Tensor``: it keeps only the
     arrays it reads, and the graph holds no value it does not need."""
-    if not np.isfinite(data).all():
-        shapes = ", ".join(str(p.shape) for p in parents)
-        raise NumericsError(f"non-finite values produced by op '{op}' on inputs of shape {shapes}")
+    _check_finite(data, op, parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out._grad = None

@@ -1,16 +1,29 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 `model_checks` keeps one `gradcheck.model_check` result per (config fields, seed,
 eps) for the whole session, so the tests that check the same miniature model
-finite-difference it once between them.
+finite-difference it once between them. `traced` measures what a call allocates.
 """
 
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
 
 from lganet.gradcheck import DEFAULT_EPS, MINI_CONFIG, model_check
 from lganet.model import ModelConfig
+
+
+def traced(fn):
+    """``fn()`` under tracemalloc -> (bytes still held when it returns, peak bytes, its
+    result), both counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return held, peak, out
+    finally:
+        tracemalloc.stop()
 
 
 class ModelChecks:

@@ -1,6 +1,6 @@
 """Windowed-query attention: counting laws, path equivalence, variants, encodings."""
 
-import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from lganet import attention as A
-from lganet.errors import ConfigError, ShapeError
+from lganet import ops
+from lganet.errors import ConfigError, NumericsError, ShapeError
 from lganet.gradcheck import _weighted_sum, max_rel_error
 from lganet.ops import LAYER_NORM_EPS, avg_pool1d, conv1d, layer_norm
-from lganet.tensor import (Tensor, add, narrow, pad_axis, reshape, stack, tmean, tsum,
+from lganet.tensor import (Tensor, add, narrow, no_grad, pad_axis, reshape, stack, tmean, tsum,
                            unfold_windows)
 
 R64 = dict(dtype="f64")
@@ -285,14 +287,17 @@ def test_query_residual_fidelity_with_zero_values():
 
 
 def test_non_finite_scores_abort():
-    from lganet.errors import NumericsError
     cfg = A.LgaConfig(embed_dim=2, heads=1, window_len=2, stride=2)
     w = make_weights(cfg, seed=9)
     w.conv_q.weight.data[:] = 1e200  # Q*K overflows the score matmul
     w.conv_k.weight.data[:] = 1e200
     x = Tensor(np.random.default_rng(8).uniform(-1, 1, (1, 4, 2)), **R64)
-    with np.errstate(over="ignore"), pytest.raises(NumericsError):
-        A.attention_variant(x, cfg, w)
+    messages = []
+    for mode in (nullcontext, no_grad):  # the recorded path, then the block path
+        with mode(), np.errstate(over="ignore"), pytest.raises(NumericsError) as err:
+            A.attention_variant(x, cfg, w)
+        messages.append(str(err.value))
+    assert "op 'matmul'" in messages[0] and messages[1] == messages[0]
 
 
 # -- variants -------------------------------------------------------------------
@@ -416,14 +421,59 @@ def test_recorded_local_qkv_holds_no_window_copies():
     w = A.LgaWeights.create(cfg, np.random.default_rng(28))
     x = Tensor(np.random.default_rng(29).uniform(-1, 1, (2, 256, 128)), requires_grad=True,
                dtype="f32")
-    tracemalloc.start()
-    try:
-        out = A.attention_core(x, cfg, w)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    held, _, out = traced(lambda: A.attention_core(x, cfg, w))
     assert out.requires_grad
     assert held <= 8 << 20
+
+
+# one batch row of LGA's [H, M, N] = [2, 8, 16] scores in the test below is 256 values
+@pytest.mark.parametrize("block_bytes,lga_rows", [
+    (lambda itemsize: 1, [1, 1, 1]),  # one batch row per block
+    (lambda itemsize: 2 * 256 * itemsize, [2, 1]),  # an uneven split
+    (None, [3]),  # the default: one block
+], ids=["one-row", "two-rows", "default"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unrecorded_attention_is_the_recorded_path_bit_for_bit(block_bytes, lga_rows, dtype,
+                                                               monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(ops, "COLUMN_BLOCK_BYTES", block_bytes(np.dtype(dtype).itemsize))
+    rows = []  # the batch rows of each block the unrecorded path walks
+    def spy(b, l_out, row_bytes):
+        blocks = ops._blocks(b, l_out, row_bytes)
+        rows.append([len(range(b)[at]) for at, _ in blocks])
+        return blocks
+    monkeypatch.setattr(A, "_blocks", spy)
+    for variant in A.VARIANTS:
+        for pe in A.POS_ENCODINGS:
+            cfg = A.LgaConfig(embed_dim=8, heads=2, window_len=4, stride=2, variant=variant,
+                              pos_encoding=pe, max_len=16)
+            rng = np.random.default_rng(31)
+            w = A.LgaWeights.create(cfg, rng, dtype)
+            if w.rel is not None:
+                w.rel.data[:] = rng.uniform(-0.5, 0.5, w.rel.shape)
+            x = Tensor(rng.uniform(-1, 1, (3, 16, 8)), dtype=dtype)
+            recorded, unrecorded = {}, {}
+            out = A.attention_variant(x, cfg, w, recorded)
+            assert out.requires_grad and not rows
+            with no_grad():
+                got = A.attention_variant(x, cfg, w, unrecorded)
+            assert got.dtype == out.dtype and got.data.tobytes() == out.data.tobytes()
+            assert [(a.shape, a.tobytes()) for a in unrecorded["attn"]] == \
+                [(a.shape, a.tobytes()) for a in recorded["attn"]]
+            assert rows and (rows == [lga_rows] or variant != A.VARIANT_LGA)
+            rows.clear()
+
+
+def test_unrecorded_stage1_attention_never_holds_all_scores():
+    # the paper's stage 1 at B=32: [32, 4, 128, 256] f32 scores are 16 MiB; one pass over all
+    # rows peaked 38.5 MiB above its entry with three of them live, batch blocks peak at 11.5
+    rng = np.random.default_rng(32)
+    q = Tensor(rng.uniform(-1, 1, (32, 128, 128)), dtype="f32")
+    k, v = (Tensor(rng.uniform(-1, 1, (32, 256, 128)), dtype="f32") for _ in range(2))
+    with no_grad():
+        _, peak, out = traced(lambda: A._mha(q, k, v, 4, None, None))
+    assert out.shape == (32, 128, 128)
+    assert peak < 32 * 4 * 128 * 256 * 4
 
 
 def test_global_qkv_coincides_with_lga_at_window_eq_stride():

@@ -3,13 +3,13 @@
 import hashlib
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from lganet import data as D
 from lganet import tensor as T
 from lganet.errors import ConfigError, FormatError
@@ -172,13 +172,10 @@ def test_huge_declared_dataset_is_refused_before_allocating(tmp_path):
     path = tmp_path / "huge.lgae"
     header = struct.pack("<IIIIII", 1, 2**32 - 1, 2**16, 2**16, 6, 400)
     path.write_bytes((D.DATASET_MAGIC + header).ljust(100, b"\0"))
-    tracemalloc.start()
-    try:
+    def read():
         with pytest.raises(FormatError, match="truncated file: .* for record 0 signal at byte 42"):
             D.read_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(read)
     assert peak < 1 << 20
 
 

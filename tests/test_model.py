@@ -1,13 +1,13 @@
 """Front-end, transformer blocks, full-model composition, and serialization."""
 
 import gc
-import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import traced
 from lganet import attention as A
 from lganet import model as model_module
 from lganet import ops as ops_module
@@ -332,16 +332,6 @@ class OutputBytes:
             monkeypatch.setattr(module, "_result", spy)
 
 
-def traced_held(fn):
-    """Bytes that tracemalloc sees held once ``fn()`` returns, and its result."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        return tracemalloc.get_traced_memory()[0], out
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("variant", A.VARIANTS)
 def test_recorded_forward_holds_little_beyond_its_op_outputs(variant, monkeypatch):
     cfg = ModelConfig.create(leads=4, input_len=512, embed_dim=16, num_stages=2,
@@ -349,7 +339,7 @@ def test_recorded_forward_holds_little_beyond_its_op_outputs(variant, monkeypatc
     model = Model(cfg, seed=18)
     x = rand_input(model, batch=8, seed=19)
     outputs = OutputBytes(monkeypatch, [x, *model.parameters().values()])
-    held, out = traced_held(lambda: model.forward(x))
+    held, _, out = traced(lambda: model.forward(x))
     assert out.requires_grad
     assert held <= 1.25 * outputs.total
 
@@ -364,9 +354,21 @@ def test_paper_train_step_graph_holds_well_under_its_op_outputs(monkeypatch):
     x = Tensor(rng.uniform(-1, 1, (8, 12, 4096)), dtype="f32")
     y = (rng.random((8, 6)) < 0.5).astype(np.float32)
     outputs = OutputBytes(monkeypatch, [x, *model.parameters().values()])
-    held, loss = traced_held(lambda: bce_loss(model.forward(x), y))
+    held, _, loss = traced(lambda: bce_loss(model.forward(x), y))
     assert loss.requires_grad
     assert held <= 0.6 * outputs.total
+
+
+def test_paper_no_grad_forward_peaks_well_under_three_score_arrays():
+    # B=32 f32 at the paper defaults: with stage 1's three [32, 4, 128, 256] score-sized
+    # arrays live at once, the forward peaked 56.5 MiB above its input; with attention in
+    # batch blocks and front blocks that free their intermediates it peaks at 33.5 (front1)
+    model = Model(ModelConfig.create(), seed=0)
+    x = Tensor(np.random.default_rng(33).uniform(-1, 1, (32, 12, 4096)), dtype="f32")
+    with no_grad():
+        _, peak, logits = traced(lambda: model.forward(x))
+    assert logits.shape == (32, 6)
+    assert peak <= 40 << 20
 
 
 def test_a_resblock_frees_its_first_conv_output_when_it_returns(monkeypatch):

@@ -1,12 +1,11 @@
 """Convolution, pooling, normalization, and activation contracts."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from lganet import ops
 from lganet import tensor as T
 from lganet.errors import ShapeError
@@ -76,12 +75,7 @@ def test_recorded_conv1d_keeps_its_input_not_its_columns():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 256, 16)), requires_grad=True, dtype="f64")
     p = Conv1dParams.create(16, 16, 7, 3, rng, dtype=np.float64)
-    tracemalloc.start()
-    try:
-        out = ops.conv1d(x, p)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    held, _, out = traced(lambda: ops.conv1d(x, p))
     assert held < x.data.nbytes + out.data.nbytes
 
 
@@ -174,12 +168,7 @@ def test_conv1d_forward_holds_at_most_two_column_blocks():
     p = Conv1dParams.create(16, 16, 7, 3, rng, dtype=np.float32)
     padded_nbytes = 32 * (4096 + 2 * 3) * 16 * 4
     with T.no_grad():
-        tracemalloc.start()
-        try:
-            out = ops.conv1d(x, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, out = traced(lambda: ops.conv1d(x, p))
     assert peak < out.data.nbytes + padded_nbytes + 2 * ops.COLUMN_BLOCK_BYTES
 
 
@@ -191,12 +180,8 @@ def test_conv1d_backward_holds_at_most_two_column_blocks():
     padded_nbytes = 32 * (4096 + 2 * 3) * 16 * 4
     out = ops.conv1d(x, p)
     out.grad = rng.standard_normal(out.shape).astype(np.float32)
-    tracemalloc.start()
-    try:
-        out._backward()  # the padded input, the padded gx and x.grad, plus the blocks
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the padded input, the padded gx and x.grad, plus the blocks
+    _, peak, _ = traced(out._backward)
     assert peak < 2 * padded_nbytes + x.data.nbytes + 2 * ops.COLUMN_BLOCK_BYTES
 
 
