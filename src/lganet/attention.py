@@ -14,9 +14,12 @@ builds Q, K, V and the relative score bias: each core builds those as
 merge). When no operand records a graph, `_mha` forms the scores in blocks of
 whole batch rows and normalizes each block in place, so a no-grad forward holds
 one block's scores (at most `COLUMN_BLOCK_BYTES` unless one row is larger) at a
-time. Only `SWIN_LIKE`, whose windows do not overlap, makes every window a
-batch row. `LOCAL_QKV` masks its scores to each window's band of keys, so its
-captured weights are `[B, H, M, N + 2·halo]`, zero off the band.
+time. A no-grad `Model.forward` already runs its stages on item blocks sized by
+one item's stage-1 scores, so at the paper's shapes it hands `_mha` a single
+block; the loop serves direct callers. Only `SWIN_LIKE`, whose windows do not
+overlap, makes every window a batch row. `LOCAL_QKV` masks its scores to each
+window's band of keys, so its captured weights are `[B, H, M, N + 2·halo]`, zero
+off the band.
 """
 
 from __future__ import annotations

@@ -9,11 +9,13 @@ from typing import Mapping
 
 import numpy as np
 
+from . import tensor
 from .attention import VARIANT_SWIN, VARIANT_VIT, LgaConfig, LgaWeights, attention_core
 from .errors import ConfigError, FormatError, LganetError
 from .ops import (
     Conv1dParams,
     LayerNormParams,
+    _blocks,
     conv1d,
     layer_norm,
     linear,
@@ -197,13 +199,16 @@ class Model:
                        for i in range(1, config.num_stages + 1)]
         self.head_w, self.head_b = linear_params(d, config.num_classes, rng, self.dtype)
 
-    def front_end(self, x: Tensor) -> Tensor:
+    def _check_input(self, x: Tensor) -> None:
         if x.ndim != 3 or x.shape[1] != self.config.leads or x.shape[2] != self.config.input_len:
             raise ConfigError(
                 f"input shape {x.shape} does not match (B, {self.config.leads}, {self.config.input_len})"
             )
         if x.dtype != self.dtype:
             raise ConfigError(f"input dtype {x.dtype} does not match model precision {self.config.precision}")
+
+    def front_end(self, x: Tensor) -> Tensor:
+        self._check_input(x)
         x = transpose(x, (0, 2, 1))  # [B, leads, N] -> [B, N, leads]
         for i, blk in enumerate(self.res_blocks, 1):
             try:
@@ -212,9 +217,8 @@ class Model:
                 raise _within(f"front{i}", exc) from None
         return x
 
-    def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
-        """Logits [B, classes] of an input [B, leads, input_len]. An error raised
-        inside a front-end block, a stage or the head names it: ``stage2: ...``."""
+    def _pooled(self, x: Tensor, capture: dict | None = None) -> Tensor:
+        """[B, D] features of ``x``: the front end, every stage, then the mean over positions."""
         h = self.front_end(x)
         for i, blk in enumerate(self.blocks, 1):
             try:
@@ -222,7 +226,44 @@ class Model:
             except LganetError as exc:
                 raise _within(f"stage{i}", exc) from None
         try:
-            return linear(tmean(h, axis=1), self.head_w, self.head_b)
+            return tmean(h, axis=1)
+        except LganetError as exc:
+            raise _within("head", exc) from None
+
+    def _pooled_in_blocks(self, x: Tensor) -> Tensor:
+        """``_pooled`` of ``x`` computed a few whole items at a time, in the row blocks
+        of ``ops._blocks`` sized by one item's [H, N, N] stage-1 scores. At the paper's
+        shapes those bound every variant's scores, so ``_mha`` runs a block in one pass."""
+        self._check_input(x)
+        cfg, b = self.config, x.shape[0]
+        blocks = [rows for rows, _ in _blocks(b, 1, cfg.heads * cfg.stage_len(1) ** 2
+                                               * self.dtype.itemsize)]
+        if len(blocks) == 1:
+            return self._pooled(x)
+        pooled = np.empty((b, cfg.embed_dim), self.dtype)
+        for rows in blocks:
+            try:
+                pooled[rows] = self._pooled(Tensor(x.data[rows])).data
+            except LganetError as exc:
+                raise _within(f"rows {rows.start}:{min(rows.stop, b)}", exc) from None
+        return Tensor(pooled)
+
+    def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
+        """Logits [B, classes] of an input [B, leads, input_len]. An error raised
+        inside a front-end block, a stage or the head names it: ``stage2: ...``.
+
+        When nothing records (``no_grad``, no ``capture``) and B > 1, the front end,
+        the stages and the mean pooling run on blocks of whole items, so the forward
+        never holds the whole batch's intermediates; an error raised inside a block
+        of several also names its rows: ``rows 4:8: stage1: ...``. The head then
+        runs once on the whole batch, whose GEMM a block of one or two items would
+        round differently. The logits are the one-block forward's, bit for bit."""
+        if capture is None and not tensor._grad_enabled and x.ndim == 3 and x.shape[0] > 1:
+            pooled = self._pooled_in_blocks(x)
+        else:
+            pooled = self._pooled(x, capture)
+        try:
+            return linear(pooled, self.head_w, self.head_b)
         except LganetError as exc:
             raise _within("head", exc) from None
 
@@ -245,12 +286,12 @@ class Model:
         extra = set(state) - set(params)
         if missing or extra:
             raise FormatError(f"weight names mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
-        for name, tensor in params.items():
+        for name, param in params.items():
             arr = np.asarray(state[name])
-            if arr.shape != tensor.shape:
-                raise FormatError(f"weight {name!r} has shape {arr.shape}, expected {tensor.shape}")
-            tensor.data = arr.astype(self.dtype, copy=True)
-            tensor.grad = None
+            if arr.shape != param.shape:
+                raise FormatError(f"weight {name!r} has shape {arr.shape}, expected {param.shape}")
+            param.data = arr.astype(self.dtype, copy=True)
+            param.grad = None
 
     def save(self, path) -> None:
         """Write the weights to ``path`` and the config to ``path + ".json"``, each

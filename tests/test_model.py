@@ -371,6 +371,116 @@ def test_paper_no_grad_forward_peaks_well_under_three_score_arrays():
     assert peak <= 40 << 20
 
 
+@pytest.mark.parametrize("variant", [A.VARIANT_LGA, A.VARIANT_VIT])
+def test_paper_no_grad_forward_runs_a_few_items_at_a_time(variant):
+    # B=32 f32 at the paper defaults: with every front-end conv made for all 32 items the
+    # forward peaked 33.5 MiB above its input; in blocks of 4 items it peaks at 7.5 (LGA)
+    # and 8.0 (VIT_LIKE, whose stage-1 scores are the largest)
+    model = Model(ModelConfig.create(variant=variant), seed=0)
+    x = Tensor(np.random.default_rng(34).uniform(-1, 1, (32, 12, 4096)), dtype="f32")
+    with no_grad():
+        _, peak, logits = traced(lambda: model.forward(x))
+    assert logits.shape == (32, 6)
+    assert peak <= 12 << 20
+
+
+class FrontEndCalls:
+    """Batch sizes of the calls to ``Model.front_end``, one per block of a forward."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        original = Model.front_end
+
+        def spy(model, x):
+            self.sizes.append(x.shape[0])
+            return original(model, x)
+
+        monkeypatch.setattr(Model, "front_end", spy)
+
+
+def block_bytes(cfg, items):
+    """``COLUMN_BLOCK_BYTES`` that makes a forward of ``cfg`` run ``items`` items a block."""
+    return items * cfg.heads * cfg.stage_len(1) ** 2 * cfg.dtype.itemsize
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("variant,pe", [(A.VARIANT_LGA, A.PE_RELATIVE),
+                                        (A.VARIANT_VIT, A.PE_LEARNABLE),
+                                        (A.VARIANT_LOCAL_QKV, A.PE_SINUSOIDAL)])
+def test_no_grad_forward_in_blocks_is_the_one_block_forward_bit_for_bit(precision, variant, pe,
+                                                                        monkeypatch):
+    cfg = ModelConfig.create(variant=variant, pos_encoding=pe, precision=precision)
+    model = Model(cfg, seed=35)
+    rng = np.random.default_rng(36)
+    for blk in model.blocks:
+        if blk.attn.rel is not None:
+            blk.attn.rel.data[:] = rng.uniform(-0.5, 0.5, blk.attn.rel.shape)
+    x = Tensor(rng.uniform(-1, 1, (8, 12, 4096)), dtype=precision)
+    monkeypatch.setattr(ops_module, "COLUMN_BLOCK_BYTES", block_bytes(cfg, 3))
+    calls = FrontEndCalls(monkeypatch)
+    with no_grad():
+        blocked = model.forward(x)
+        assert calls.sizes == [3, 3, 2]
+        whole = model.forward(x, {})  # a capture dict keeps the forward in one block
+    assert calls.sizes == [3, 3, 2, 8]
+    assert blocked.dtype == whole.dtype and blocked.data.tobytes() == whole.data.tobytes()
+
+
+CRITERION_10_MODEL = dict(leads=3, input_len=256, embed_dim=16, heads=2, num_stages=2,
+                          num_classes=6, window_len=4, stride=2, precision="f64")
+DESK_MODEL = dict(leads=12, input_len=1024, embed_dim=64, heads=4, num_stages=3,
+                  window_len=16, num_classes=6)
+
+
+@pytest.mark.parametrize("knobs,batch", [(DESK_MODEL, 64), (MINI_CONFIG, 16),
+                                         (CRITERION_10_MODEL, 30)],
+                         ids=["desk", "miniature", "criterion-10"])
+def test_small_models_forward_in_one_block(knobs, batch, monkeypatch):
+    # At the desk shape in f64 (B=7), blocks of 1-3 items moved logits by up to 5.6e-16:
+    # a GEMM of a few rows, such as stage 2's 1x1 res_conv with 16 rows instead of 112,
+    # takes other BLAS kernels. These models run in one block, so their f64 hashes cannot move.
+    model = Model(ModelConfig.create(**knobs), seed=37)
+    x = rand_input(model, batch, seed=38)
+    calls = FrontEndCalls(monkeypatch)
+    with no_grad():
+        model.forward(x)
+    assert calls.sizes == [batch]
+
+
+def test_a_recorded_forward_or_one_with_a_capture_dict_runs_in_one_block(monkeypatch):
+    model = tiny_model(seed=39)
+    x = rand_input(model, 6, seed=40)
+    monkeypatch.setattr(ops_module, "COLUMN_BLOCK_BYTES", block_bytes(model.config, 2))
+    calls = FrontEndCalls(monkeypatch)
+    with no_grad():
+        model.forward(x)
+        assert calls.sizes == [2, 2, 2]
+        capture = {}
+        model.forward(x, capture)
+    model.forward(x)
+    assert calls.sizes == [2, 2, 2, 6, 6]
+    assert [a.shape[0] for a in capture["attn"]] == [6, 6]
+
+
+def test_an_error_in_a_later_block_names_its_rows(monkeypatch):
+    model = tiny_model(seed=41)
+    monkeypatch.setattr(ops_module, "COLUMN_BLOCK_BYTES", block_bytes(model.config, 2))
+    x = rand_input(model, 6, seed=42)
+    x.data[4, 1, 7] = np.nan
+    with no_grad(), pytest.raises(NumericsError) as err:
+        model.forward(x)
+    assert str(err.value).startswith("rows 4:6: non-finite values produced by op 'transpose' "
+                                     "on inputs of shape (2, 2, 128)")
+    x.data[4, 1, 7] = 0.0
+    model.parameters()["stage2.mlp.w1"].data[0, 0] = np.nan
+    with no_grad(), pytest.raises(NumericsError) as err:
+        model.forward(x)
+    assert str(err.value).startswith("rows 0:2: stage2: non-finite values produced by op ")
+    with no_grad(), pytest.raises(ConfigError) as err:  # a refused input names no block
+        model.forward(Tensor(np.zeros((6, 3, 128))))
+    assert str(err.value).startswith("input shape (6, 3, 128) does not match")
+
+
 def test_a_resblock_frees_its_first_conv_output_when_it_returns(monkeypatch):
     # relu masks its gradient with its own output, so no backward reads conv1's output
     blk = ResBlock(3, 4, np.random.default_rng(21), np.float64)
