@@ -10,13 +10,14 @@ for ablation runs.
 Every variant is scaled dot-product attention and differs only in how it
 builds Q, K, V and the relative score bias: each core builds those as
 `[B', M, D]` queries and `[B', N, D]` keys/values and calls the one kernel,
-`_mha` (head split, scores, bias, softmax, capture, weighted sum, head
-merge). When no operand records a graph, `_mha` forms the scores in blocks of
-whole batch rows and normalizes each block in place, so a no-grad forward holds
-one block's scores (at most `COLUMN_BLOCK_BYTES` unless one row is larger) at a
-time. A no-grad `Model.forward` already runs its stages on item blocks sized by
-one item's stage-1 scores, so at the paper's shapes it hands `_mha` a single
-block; the loop serves direct callers. Only `SWIN_LIKE`, whose windows do not
+`_mha`. It is one op, recorded as one graph node whose parents are Q, K, V and
+the bias: it splits heads, forms scores, biases and softmaxes them and takes
+the weighted sum in blocks of whole batch rows (at most `COLUMN_BLOCK_BYTES`
+of scores unless one row is larger), and its backward recomputes each block's
+softmax instead of keeping it, so neither a no-grad forward nor a recorded
+graph holds all the scores at once. A no-grad `Model.forward` already runs its
+stages on item blocks sized by one item's stage-1 scores, so at the paper's
+shapes it hands `_mha` a single block. Only `SWIN_LIKE`, whose windows do not
 overlap, makes every window a batch row. `LOCAL_QKV` masks its scores to each
 window's band of keys, so its captured weights are `[B, H, M, N + 2·halo]`, zero
 off the band.
@@ -33,15 +34,12 @@ from .ops import Conv1dParams, LayerNormParams, _blocks, avg_pool1d, conv1d, lay
 from .tensor import (
     Tensor,
     _check_finite,
-    _records,
+    _result,
     add,
     concatenate,
-    matmul,
-    mul,
     narrow,
     pad_axis,
     reshape,
-    softmax,
     take_rows,
     transpose,
 )
@@ -203,16 +201,12 @@ def _mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
          bias: Tensor | None, capture: dict | None) -> Tensor:
     """Multi-head scaled dot-product attention; q is [B', M, D], k/v [B', N, D] -> [B', M, D].
 
-    Q and V split to [B', H, ., Dh]; K goes straight to [B', H, Dh, N], so each
-    operand is transposed once. ``bias`` is an [M, N] score bias; the softmax
-    weights go to ``capture["attn"]`` as one [B', H, M, N] array when a capture
-    dict is given.
-
-    When no operand records a graph, the split, scores and softmax run in the
-    batch-row blocks of ``ops._blocks`` (at most ``COLUMN_BLOCK_BYTES`` of scores
-    unless one row is larger), in place and in the recorded path's order, and each
-    block writes its rows of one [B', H, M, Dh] output. So the values, and the
-    finiteness checks, are the recorded path's, bit for bit.
+    One op, walked in the batch-row blocks of ``ops._blocks`` (at most
+    ``COLUMN_BLOCK_BYTES`` of scores unless one row is larger): a block splits its rows
+    into heads (K straight to [b, H, Dh, N]), softmaxes its scores plus the [M, N]
+    ``bias`` in place and writes its rows of one [B', H, M, Dh] output. A capture dict
+    gets the weights as one [B', H, M, N] array. The node keeps q, k, v and the bias;
+    its backward recomputes each block's weights, so the graph holds no scores.
     """
     b, m, d = q.shape
     n = k.shape[1]
@@ -220,43 +214,65 @@ def _mha(q: Tensor, k: Tensor, v: Tensor, heads: int,
     # a Python float is a "weak" scalar (NEP 50): a numpy float64 here would promote f32 to f64
     scale = float(1.0 / np.sqrt(dh))
     operands = (q, k, v) if bias is None else (q, k, v, bias)
-    if _records(operands):
-        def split(t, axes):
-            return transpose(reshape(t, (b, t.shape[1], heads, dh)), axes)
-        scores = mul(matmul(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1))), scale)
-        if bias is not None:
-            scores = add(scores, bias)
-        attn = softmax(scores, axis=-1)
-        if capture is not None:
-            capture.setdefault("attn", []).append(attn.data)
-        out = matmul(attn, split(v, (0, 2, 1, 3)))
-    else:
-        def split(t, at, axes):  # the block's rows of the recorded path's head split
-            return np.ascontiguousarray(
-                t.data[at].reshape(-1, t.shape[1], heads, dh).transpose(axes))
-        dtype = np.result_type(*(t.data for t in operands))
-        full = (b, heads, m, n)
-        heads_out = np.empty((b, heads, m, dh), dtype)
-        weights = np.empty(full, dtype) if capture is not None else None
-        for at, _ in _blocks(b, 1, heads * m * n * dtype.itemsize):
-            s = np.matmul(split(q, at, (0, 2, 1, 3)), split(k, at, (0, 2, 3, 1)))
-            _check_finite(s, "matmul", ((b, heads, m, dh), (b, heads, dh, n)))
-            s *= scale
-            _check_finite(s, "mul_scalar", (full,))
-            if bias is not None:
-                s += bias.data
-                _check_finite(s, "add", (full, bias.shape))
-            s -= s.max(axis=-1, keepdims=True)  # softmax, in tensor.softmax's order
-            np.exp(s, out=s)
-            s /= s.sum(axis=-1, keepdims=True)
-            _check_finite(s, "softmax", (full,))
-            if weights is not None:
-                weights[at] = s
-            np.matmul(s, split(v, at, (0, 2, 1, 3)), out=heads_out[at])
-            _check_finite(heads_out[at], "matmul", (full, (b, heads, n, dh)))
+    q_data, k_data, v_data = q.data, k.data, v.data
+    bias_data = None if bias is None else bias.data
+    dtype = np.result_type(*(t.data for t in operands))
+    full = (b, heads, m, n)
+    blocks = [at for at, _ in _blocks(b, 1, heads * m * n * dtype.itemsize)]
+
+    def split(data, at, axes):  # the block's rows of [B', L, D] as heads
+        return np.ascontiguousarray(data[at].reshape(-1, data.shape[1], heads, dh).transpose(axes))
+
+    def weights_of(at):  # the block's heads of q and k, and its softmax weights
+        qs, ks = split(q_data, at, (0, 2, 1, 3)), split(k_data, at, (0, 2, 3, 1))
+        s = np.matmul(qs, ks)
+        _check_finite(s, "matmul", ((b, heads, m, dh), (b, heads, dh, n)))
+        s *= scale
+        _check_finite(s, "mul_scalar", (full,))
+        if bias_data is not None:
+            s += bias_data
+            _check_finite(s, "add", (full, bias_data.shape))
+        s -= s.max(axis=-1, keepdims=True)  # softmax, in tensor.softmax's order
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        _check_finite(s, "softmax", (full,))
+        return qs, ks, s
+
+    heads_out = np.empty((b, heads, m, dh), dtype)
+    weights = np.empty(full, dtype) if capture is not None else None
+    for at in blocks:
+        _, _, y = weights_of(at)
         if weights is not None:
-            capture.setdefault("attn", []).append(weights)
-        out = Tensor(heads_out)
+            weights[at] = y
+        np.matmul(y, split(v_data, at, (0, 2, 1, 3)), out=heads_out[at])
+    if weights is not None:
+        capture.setdefault("attn", []).append(weights)
+
+    def backward(g, sq, sk, sv, sb=None):
+        # per block, the steps of matmul, softmax, add, mul and matmul backward in turn
+        gq, gk, gv = (np.empty(shape, dtype) for shape in
+                      ((b, heads, m, dh), (b, heads, dh, n), (b, heads, n, dh)))
+        gb = np.zeros((m, n), dtype)
+        for at in blocks:
+            qs, ks, y = weights_of(at)
+            np.matmul(np.swapaxes(y, -1, -2), g[at], out=gv[at])
+            gs = np.matmul(g[at], np.swapaxes(split(v_data, at, (0, 2, 1, 3)), -1, -2))
+            gs -= (gs * y).sum(axis=-1, keepdims=True)
+            gs *= y
+            if sb is not None:  # one [M, N] row at a time, in order, as sum(axis=(0, 1)) adds
+                for row in gs.reshape(-1, m, n):
+                    gb += row
+            gs *= scale
+            np.matmul(gs, np.swapaxes(ks, -1, -2), out=gq[at])
+            np.matmul(np.swapaxes(qs, -1, -2), gs, out=gk[at])
+        for sink, grad, merge in ((sq, gq, (0, 2, 1, 3)), (sk, gk, (0, 3, 1, 2)),
+                                  (sv, gv, (0, 2, 1, 3))):
+            if sink is not None:
+                sink._accumulate(grad.transpose(merge).reshape(sink.shape))
+        if sb is not None:
+            sb._accumulate(gb)
+
+    out = _result(heads_out, operands, "attention", backward)
     return reshape(transpose(out, (0, 2, 1, 3)), (b, m, d))
 
 

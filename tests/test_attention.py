@@ -14,8 +14,8 @@ from lganet import ops
 from lganet.errors import ConfigError, NumericsError, ShapeError
 from lganet.gradcheck import _weighted_sum, max_rel_error
 from lganet.ops import LAYER_NORM_EPS, avg_pool1d, conv1d, layer_norm
-from lganet.tensor import (Tensor, add, narrow, no_grad, pad_axis, reshape, stack, tmean, tsum,
-                           unfold_windows)
+from lganet.tensor import (Tensor, add, mul, narrow, no_grad, pad_axis, reshape, stack, take_rows,
+                           tmean, tsum, unfold_windows)
 
 R64 = dict(dtype="f64")
 
@@ -293,7 +293,7 @@ def test_non_finite_scores_abort():
     w.conv_k.weight.data[:] = 1e200
     x = Tensor(np.random.default_rng(8).uniform(-1, 1, (1, 4, 2)), **R64)
     messages = []
-    for mode in (nullcontext, no_grad):  # the recorded path, then the block path
+    for mode in (nullcontext, no_grad):  # with a graph, then without
         with mode(), np.errstate(over="ignore"), pytest.raises(NumericsError) as err:
             A.attention_variant(x, cfg, w)
         messages.append(str(err.value))
@@ -426,42 +426,86 @@ def test_recorded_local_qkv_holds_no_window_copies():
     assert held <= 8 << 20
 
 
-# one batch row of LGA's [H, M, N] = [2, 8, 16] scores in the test below is 256 values
-@pytest.mark.parametrize("block_bytes,lga_rows", [
-    (lambda itemsize: 1, [1, 1, 1]),  # one batch row per block
-    (lambda itemsize: 2 * 256 * itemsize, [2, 1]),  # an uneven split
-    (None, [3]),  # the default: one block
-], ids=["one-row", "two-rows", "default"])
+def row_blocks(rows):
+    """A stand-in for ``ops._blocks`` that cuts the batch rows into blocks of ``rows``."""
+    return lambda b, l_out, row_bytes: [(slice(i, i + rows), slice(0, 1))
+                                        for i in range(0, b, rows)]
+
+
+# B=3 rows as 1+1+1, as 2+1 and as the default's one block
+@pytest.mark.parametrize("rows", [1, 2, None], ids=["one-row", "two-rows", "default"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_unrecorded_attention_is_the_recorded_path_bit_for_bit(block_bytes, lga_rows, dtype,
-                                                               monkeypatch):
-    if block_bytes is not None:
-        monkeypatch.setattr(ops, "COLUMN_BLOCK_BYTES", block_bytes(np.dtype(dtype).itemsize))
-    rows = []  # the batch rows of each block the unrecorded path walks
-    def spy(b, l_out, row_bytes):
-        blocks = ops._blocks(b, l_out, row_bytes)
-        rows.append([len(range(b)[at]) for at, _ in blocks])
-        return blocks
-    monkeypatch.setattr(A, "_blocks", spy)
+def test_unrecorded_attention_is_the_recorded_path_bit_for_bit(rows, dtype, monkeypatch):
+    # the no-grad output is the recorded one, and the recorded output, weights and
+    # gradients are the one-block run's at any row blocks of the attention op (conv
+    # blocking keeps its default); at these shapes every variant's scores fit one block
+    def run(cfg):
+        rng = np.random.default_rng(31)
+        w = A.LgaWeights.create(cfg, rng, dtype)
+        if w.rel is not None:
+            w.rel.data[:] = rng.uniform(-0.5, 0.5, w.rel.shape)
+        x = Tensor(rng.uniform(-1, 1, (3, 16, 8)), requires_grad=True, dtype=dtype)
+        capture = {}
+        out = A.attention_variant(x, cfg, w, capture)
+        cotangent = Tensor(np.random.default_rng(12345).uniform(-1, 1, out.shape), dtype=dtype)
+        tsum(mul(out, cotangent)).backward()
+        with no_grad():
+            unrecorded = A.attention_variant(x, cfg, w)
+        assert unrecorded.data.tobytes() == out.data.tobytes()
+        grads = [x.grad] + [p.grad for p in w.parameters("w").values()]
+        return [a.tobytes() for a in [out.data, *capture["attn"], *grads]]
+
     for variant in A.VARIANTS:
         for pe in A.POS_ENCODINGS:
             cfg = A.LgaConfig(embed_dim=8, heads=2, window_len=4, stride=2, variant=variant,
                               pos_encoding=pe, max_len=16)
-            rng = np.random.default_rng(31)
-            w = A.LgaWeights.create(cfg, rng, dtype)
-            if w.rel is not None:
-                w.rel.data[:] = rng.uniform(-0.5, 0.5, w.rel.shape)
-            x = Tensor(rng.uniform(-1, 1, (3, 16, 8)), dtype=dtype)
-            recorded, unrecorded = {}, {}
-            out = A.attention_variant(x, cfg, w, recorded)
-            assert out.requires_grad and not rows
-            with no_grad():
-                got = A.attention_variant(x, cfg, w, unrecorded)
-            assert got.dtype == out.dtype and got.data.tobytes() == out.data.tobytes()
-            assert [(a.shape, a.tobytes()) for a in unrecorded["attn"]] == \
-                [(a.shape, a.tobytes()) for a in recorded["attn"]]
-            assert rows and (rows == [lga_rows] or variant != A.VARIANT_LGA)
-            rows.clear()
+            with monkeypatch.context() as patch:
+                calls = []
+                patch.setattr(A, "_blocks", lambda *args: calls.append(args) or ops._blocks(*args))
+                one_block = run(cfg)
+                assert calls and all(len(ops._blocks(*args)) == 1 for args in calls)
+                if rows is not None:
+                    patch.setattr(A, "_blocks", row_blocks(rows))
+                assert run(cfg) == one_block, (variant, pe)
+
+
+def test_recorded_attention_holds_no_scores():
+    # [4, 4, 256, 256] f32 scores are 4 MiB; the recorded chain of ops kept the softmax
+    # weights and the head splits (6.0 MiB), the one op keeps only its output's 0.5 MiB
+    rng = np.random.default_rng(33)
+    q, k, v = (Tensor(rng.uniform(-1, 1, (4, 256, 128)), requires_grad=True, dtype="f32")
+               for _ in range(3))
+    held, _, out = traced(lambda: A._mha(q, k, v, 4, None, None))
+    assert out.requires_grad and out.shape == (4, 256, 128)
+    assert held < (4 * 4 * 256 * 256 * 4) // 4
+
+
+def test_attention_gradient_across_uneven_row_blocks(monkeypatch):
+    # at gradcheck sizes every call is one block; 2+1 rows make a wrong row slice of
+    # q, k, v, g or of the bias gradient show. k and v are one tensor, as in LOCAL_QKV
+    monkeypatch.setattr(A, "_blocks", row_blocks(2))
+    rng = np.random.default_rng(34)
+    m, n = 3, 5
+    q = Tensor(rng.uniform(-1, 1, (3, m, 4)), requires_grad=True, **R64)
+    kv = Tensor(rng.uniform(-1, 1, (3, n, 4)), requires_grad=True, **R64)
+    rel = Tensor(rng.uniform(-0.5, 0.5, 2 * n + 1), requires_grad=True, **R64)
+    offsets = np.arange(n)[None, :] - 2 * np.arange(m)[:, None] + n
+    err = max_rel_error(lambda: _weighted_sum(A._mha(q, kv, kv, 2, take_rows(rel, offsets), None)),
+                        [q, kv, rel])
+    assert err <= 1e-3
+
+
+def test_non_finite_weighted_sum_aborts():
+    # finite scores, an infinite value: the op's output check names it, graph or not
+    rng = np.random.default_rng(35)
+    q, k, v = (Tensor(rng.uniform(-1, 1, (1, 2, 4)), requires_grad=True, **R64) for _ in range(3))
+    v.data[0, 1, 0] = np.inf
+    messages = []
+    for mode in (nullcontext, no_grad):
+        with mode(), pytest.raises(NumericsError) as err:
+            A._mha(q, k, v, 2, None, None)
+        messages.append(str(err.value))
+    assert "op 'attention'" in messages[0] and messages[1] == messages[0]
 
 
 def test_unrecorded_stage1_attention_never_holds_all_scores():

@@ -294,12 +294,12 @@ def recorded_ops(out, op):
 
 
 @pytest.mark.parametrize("variant", A.VARIANTS)
-def test_block_transposes_only_to_split_and_merge_heads(variant):
-    # conv and pool take the block's [B, N, D] layout: the only transposes left
-    # split Q, K and V into heads (K straight to K^T) and merge the output's
+def test_block_transposes_only_to_merge_heads(variant):
+    # conv and pool take the block's [B, N, D] layout, and the attention op splits its
+    # heads inside: the only transpose left merges the output's
     block = tiny_model(seed=16, variant=variant).blocks[0]
     x = Tensor(np.random.default_rng(17).uniform(-1, 1, (2, 8, 8)), requires_grad=True, dtype="f64")
-    assert recorded_ops(block.forward(x), "transpose") == 4
+    assert recorded_ops(block.forward(x), "transpose") == 1
 
 
 def _buffer(arr):
