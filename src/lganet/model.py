@@ -198,6 +198,9 @@ class Model:
         self.blocks = [TransformerBlock(config.stage_config(i), d // 4 * 2 * i, rng, self.dtype)
                        for i in range(1, config.num_stages + 1)]
         self.head_w, self.head_b = linear_params(d, config.num_classes, rng, self.dtype)
+        # (name, block) in forward order; every walk over the model reads this one list
+        self.parts = ([(f"front{i}", blk) for i, blk in enumerate(self.res_blocks, 1)]
+                      + [(f"stage{i}", blk) for i, blk in enumerate(self.blocks, 1)])
 
     def _check_input(self, x: Tensor) -> None:
         if x.ndim != 3 or x.shape[1] != self.config.leads or x.shape[2] != self.config.input_len:
@@ -207,39 +210,43 @@ class Model:
         if x.dtype != self.dtype:
             raise ConfigError(f"input dtype {x.dtype} does not match model precision {self.config.precision}")
 
+    def _run(self, h: Tensor, parts: list, *args) -> Tensor:
+        """``h`` through each block of ``parts`` in turn, ``args`` passed to each; an
+        error raised inside a block names its part: ``stage2: ...``. It looks up
+        ``blk.forward`` at each call, so a patch of the block's class applies."""
+        for name, blk in parts:
+            try:
+                h = blk.forward(h, *args)
+            except LganetError as exc:
+                raise _within(name, exc) from None
+        return h
+
     def front_end(self, x: Tensor) -> Tensor:
         self._check_input(x)
-        x = transpose(x, (0, 2, 1))  # [B, leads, N] -> [B, N, leads]
-        for i, blk in enumerate(self.res_blocks, 1):
-            try:
-                x = blk.forward(x)
-            except LganetError as exc:
-                raise _within(f"front{i}", exc) from None
-        return x
+        # [B, leads, N] -> [B, N, leads], outside every part: an error here names none
+        return self._run(transpose(x, (0, 2, 1)), self.parts[:FRONT_BLOCKS])
 
     def _pooled(self, x: Tensor, capture: dict | None = None) -> Tensor:
-        """[B, D] features of ``x``: the front end, every stage, then the mean over positions."""
-        h = self.front_end(x)
-        for i, blk in enumerate(self.blocks, 1):
-            try:
-                h = blk.forward(h, capture)
-            except LganetError as exc:
-                raise _within(f"stage{i}", exc) from None
-        try:
-            return tmean(h, axis=1)
-        except LganetError as exc:
-            raise _within("head", exc) from None
+        """[B, D] features of ``x``: the front end, every stage, then the mean over
+        positions (an error there names the ``head``).
 
-    def _pooled_in_blocks(self, x: Tensor) -> Tensor:
-        """``_pooled`` of ``x`` computed a few whole items at a time, in the row blocks
-        of ``ops._blocks`` sized by one item's [H, N, N] stage-1 scores. At the paper's
-        shapes those bound every variant's scores, so ``_mha`` runs a block in one pass."""
+        When nothing records (``no_grad``, no ``capture``) and B > 1, this runs on the
+        whole-item row blocks of ``ops._blocks`` sized by one item's [H, N, N] stage-1
+        scores, so the forward never holds the whole batch's intermediates and ``_mha``
+        runs a block in one pass at the paper's shapes. An error raised inside a block
+        of several also names its rows: ``rows 4:8: stage1: ...``."""
         self._check_input(x)
         cfg, b = self.config, x.shape[0]
-        blocks = [rows for rows, _ in _blocks(b, 1, cfg.heads * cfg.stage_len(1) ** 2
-                                               * self.dtype.itemsize)]
+        blocks = [slice(0, b)]
+        if capture is None and not tensor._grad_enabled and b > 1:
+            blocks = [rows for rows, _ in _blocks(b, 1, cfg.heads * cfg.stage_len(1) ** 2
+                                                   * self.dtype.itemsize)]
         if len(blocks) == 1:
-            return self._pooled(x)
+            h = self._run(self.front_end(x), self.parts[FRONT_BLOCKS:], capture)
+            try:
+                return tmean(h, axis=1)
+            except LganetError as exc:
+                raise _within("head", exc) from None
         pooled = np.empty((b, cfg.embed_dim), self.dtype)
         for rows in blocks:
             try:
@@ -249,19 +256,12 @@ class Model:
         return Tensor(pooled)
 
     def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
-        """Logits [B, classes] of an input [B, leads, input_len]. An error raised
-        inside a front-end block, a stage or the head names it: ``stage2: ...``.
-
-        When nothing records (``no_grad``, no ``capture``) and B > 1, the front end,
-        the stages and the mean pooling run on blocks of whole items, so the forward
-        never holds the whole batch's intermediates; an error raised inside a block
-        of several also names its rows: ``rows 4:8: stage1: ...``. The head then
-        runs once on the whole batch, whose GEMM a block of one or two items would
-        round differently. The logits are the one-block forward's, bit for bit."""
-        if capture is None and not tensor._grad_enabled and x.ndim == 3 and x.shape[0] > 1:
-            pooled = self._pooled_in_blocks(x)
-        else:
-            pooled = self._pooled(x, capture)
+        """Logits [B, classes] of an input [B, leads, input_len]: ``_pooled``, then the
+        head once on the whole batch, whose GEMM a block of one or two items would
+        round differently, so a blocked forward's logits are the one-block forward's,
+        bit for bit. An error raised inside a front-end block, a stage or the head
+        names it: ``stage2: ...``."""
+        pooled = self._pooled(x, capture)
         try:
             return linear(pooled, self.head_w, self.head_b)
         except LganetError as exc:
@@ -269,10 +269,8 @@ class Model:
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for i, blk in enumerate(self.res_blocks, 1):
-            out.update(blk.parameters(f"front{i}"))
-        for i, blk in enumerate(self.blocks, 1):
-            out.update(blk.parameters(f"stage{i}"))
+        for name, blk in self.parts:
+            out.update(blk.parameters(name))
         out["head.weight"] = self.head_w
         out["head.bias"] = self.head_b
         return out

@@ -15,9 +15,9 @@ from lganet import tensor as tensor_module
 from lganet import training as training_module
 from lganet.errors import ConfigError, FormatError, NumericsError
 from lganet.gradcheck import MINI_CONFIG, model_check
-from lganet.model import Model, ModelConfig, ResBlock, count_parameters
+from lganet.model import Model, ModelConfig, ResBlock, TransformerBlock, count_parameters
 from lganet.ops import layer_norm, linear_params, max_pool1d, relu
-from lganet.tensor import Tensor, concatenate, no_grad, read_weights
+from lganet.tensor import Tensor, concatenate, no_grad, read_weights, transpose
 from lganet.training import bce_loss
 
 TINY = dict(leads=2, input_len=128, embed_dim=8, heads=2, num_stages=2,
@@ -160,6 +160,21 @@ def test_forward_shape_trace_default_model():
     assert lengths == [256, 128, 64, 32, 16]
     logits = model.forward(x)
     assert logits.shape == (1, 6)
+    # the one ordered part list that forward, front_end and parameters() walk
+    assert [name for name, _ in model.parts] == ["front1", "front2", "front3", "front4",
+                                                 "stage1", "stage2", "stage3", "stage4"]
+    assert [id(blk) for _, blk in model.parts] == [id(blk) for blk in model.res_blocks + model.blocks]
+    h, part_lengths = transpose(x, (0, 2, 1)), []
+    with no_grad():
+        for name, blk in model.parts:
+            h = blk.forward(h)
+            part_lengths.append(h.shape[1])
+            if name == "front4":
+                assert np.array_equal(h.data, model.front_end(x).data)
+    assert part_lengths == [2048, 1024, 512, 256, 128, 64, 32, 16]
+    assert list(model.parameters()) == ([key for name, blk in model.parts
+                                         for key in blk.parameters(name)]
+                                        + ["head.weight", "head.bias"])
 
 
 def test_batch_independence():
@@ -476,9 +491,40 @@ def test_an_error_in_a_later_block_names_its_rows(monkeypatch):
     with no_grad(), pytest.raises(NumericsError) as err:
         model.forward(x)
     assert str(err.value).startswith("rows 0:2: stage2: non-finite values produced by op ")
+    model.parameters()["stage2.mlp.w1"].data[0, 0] = 0.0
+    model.parameters()["head.weight"].data[0, 0] = np.nan
+    with no_grad(), pytest.raises(NumericsError) as err:  # the head runs on the whole batch
+        model.forward(x)
+    assert str(err.value).startswith("head: non-finite values produced by op ")
+    assert "rows" not in str(err.value)
+    model.parameters()["head.weight"].data[0, 0] = 0.0
+    model.parameters()["front3.conv2.weight"].data[0, 0] = np.nan
+    with no_grad(), pytest.raises(NumericsError) as err:
+        model.forward(x)
+    assert str(err.value).startswith("rows 0:2: front3: non-finite values produced by op ")
     with no_grad(), pytest.raises(ConfigError) as err:  # a refused input names no block
         model.forward(Tensor(np.zeros((6, 3, 128))))
     assert str(err.value).startswith("input shape (6, 3, 128) does not match")
+
+
+def test_the_part_walk_calls_a_block_class_patched_after_the_model_is_built(monkeypatch):
+    model = tiny_model(seed=43)
+    x = rand_input(model, 6, seed=44)
+    name_of = {id(blk): name for name, blk in model.parts}
+    called = []
+    for cls in (ResBlock, TransformerBlock):
+        def spy(blk, *args, original=cls.forward):
+            called.append(name_of[id(blk)])
+            return original(blk, *args)
+        monkeypatch.setattr(cls, "forward", spy)
+    order = [name for name, _ in model.parts]
+    model.forward(x)
+    assert called == order
+    monkeypatch.setattr(ops_module, "COLUMN_BLOCK_BYTES", block_bytes(model.config, 2))
+    called.clear()
+    with no_grad():
+        model.forward(x)
+    assert called == order * 3
 
 
 def test_a_resblock_frees_its_first_conv_output_when_it_returns(monkeypatch):
